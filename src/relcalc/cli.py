@@ -130,9 +130,7 @@ def _cmd_models(args) -> int:
     if not 1 <= args.size <= SIZE_CEILING:
         print(f"size must be within 1..{SIZE_CEILING}", file=sys.stderr)
         return 1
-    q = ModelQuery(args.system, args.size, limit=args.limit,
-                   count_only=args.count_only)
-    found = enumerate_models(q)
+    found = enumerate_models(ModelQuery(args.system, args.size, limit=args.limit))
     if args.count_only:
         print(len(found))
         return 0

@@ -27,6 +27,14 @@ shrink words, ties broken toward the lexicographically smaller printed
 form) runs first and settles most ground instances without touching
 the frontiers.
 
+The search and normalisation run on a compiled core (`_Core`): atoms
+interned to small ints, words as int tuples, each rule precompiled to
+slice patterns, so finding a redex raises nothing and builds no Word.
+Words and ProofSteps are built only for the steps a proof keeps.
+`neighbors` and `normalize` are thin wrappers over the same core.  The
+checker shares no matching code with it: it replays Words through
+`apply_rule`.  The core is rebuilt for every call and cached nowhere.
+
 Everything here is immutable; callers may share systems, proofs and
 configs across threads freely.
 """
@@ -251,12 +259,8 @@ def hypothesis_rules(hypotheses) -> list[Rule]:
             for i, (l, r) in enumerate(hypotheses, 1)]
 
 
-def _insertion_names(w: Word, hypotheses) -> list[str]:
-    names = {a.name for a in w}
-    for l, r in hypotheses:
-        names.update(a.name for a in l)
-        names.update(a.name for a in r)
-    return sorted(names)
+def _sorted_rules(system: RuleSystem, hypotheses) -> list[Rule]:
+    return sorted(list(system.rules) + hypothesis_rules(hypotheses), key=lambda r: r.id)
 
 
 def neighbors(w: Word, system: RuleSystem | str, hypotheses=(),
@@ -267,29 +271,11 @@ def neighbors(w: Word, system: RuleSystem | str, hypotheses=(),
     ordered by atom name, unmarked-first pair first."""
     system = _as_system(system)
     hypotheses = tuple(hypotheses)
-    rules = sorted(list(system.rules) + hypothesis_rules(hypotheses),
-                   key=lambda r: r.id)
-    ident = system.identity_name
-    out: list[tuple[Word, ProofStep]] = []
-    for pos in range(len(w) + 1):
-        for r in rules:
-            for d in (LR, RL):
-                if r.kind == INVERSE_CANCEL and d == RL:
-                    if len(w) + 2 > max_len or pos > len(w):
-                        continue
-                    for name in _insertion_names(w, hypotheses):
-                        if name == ident:
-                            continue  # identity insertion is identity-elim's job
-                        for first_marked in (False, True):
-                            pair = (Atom(name, first_marked), Atom(name, not first_marked))
-                            w2 = Word(w.atoms[:pos] + pair + w.atoms[pos:])
-                            out.append((w2, ProofStep(r.id, RL, pos, w2)))
-                    continue
-                try:
-                    w2 = apply_rule(w, r, pos, d, max_len=max_len)
-                except RewriteError:
-                    continue
-                out.append((w2, ProofStep(r.id, d, pos, w2)))
+    core = _Core(system, hypotheses, (w,))
+    out = []
+    for t, rid, d, pos in core.expand(core.encode(w), max_len):
+        w2 = core.decode(t)
+        out.append((w2, ProofStep(rid, d, pos, w2)))
     return out
 
 
@@ -301,10 +287,9 @@ def _shortlex_key(w: Word):
     return (len(w), print_word(w))
 
 
-def _reducers(system: RuleSystem, hypotheses) -> list[tuple[Rule, str]]:
+def _reducers(rules) -> list[tuple[Rule, str]]:
     out = []
-    for r in sorted(list(system.rules) + hypothesis_rules(hypotheses),
-                    key=lambda r: r.id):
+    for r in rules:
         if r.kind != GROUND:
             out.append((r, LR))
             continue
@@ -325,25 +310,10 @@ def normalize(w: Word, system: RuleSystem | str, hypotheses=()) -> tuple[Word, t
     forms are only guaranteed where the oriented rules are confluent
     (DIT+ is, see the tests)."""
     system = _as_system(system)
-    reducers = _reducers(system, tuple(hypotheses))
-    steps: list[ProofStep] = []
-    cur = w
-    while True:
-        hit = None
-        for pos in range(len(cur)):
-            for r, d in reducers:
-                try:
-                    nxt = apply_rule(cur, r, pos, d)
-                except RewriteError:
-                    continue
-                hit = ProofStep(r.id, d, pos, nxt)
-                break
-            if hit:
-                break
-        if hit is None:
-            return cur, tuple(steps)
-        steps.append(hit)
-        cur = hit.result
+    hypotheses = tuple(hypotheses)
+    core = _Core(system, hypotheses, (w,))
+    steps = core.steps(core.normalize(core.encode(w))[1])
+    return (steps[-1].result if steps else w), steps
 
 
 def _invert_chain(start: Word, steps) -> list[ProofStep]:
@@ -364,6 +334,124 @@ def reverse_proof(p: Proof) -> Proof:
     steps = _invert_chain(p.goal[0], p.steps)
     return Proof(p.system, p.hypotheses, (p.goal[1], p.goal[0]), tuple(steps),
                  nodes_expanded=p.nodes_expanded)
+
+
+# ---------------------------------------------------------------------------
+# the search core: the same rules, compiled over integer words
+
+# matcher opcodes
+_SPAN, _DROP, _INSERT, _CANCEL, _PAIRS = range(5)
+_ANYWHERE = (_INSERT, _CANCEL, _PAIRS)  # may fire whatever atom is at the position
+
+
+class _Core:
+    """The rules of one (system, hypotheses) problem compiled for search.
+
+    Atoms become the ints `2 * name_index + inverted` over the sorted
+    names the problem can ever produce (its words, the hypotheses, the
+    rule atoms), so int order is name order and `a ^ 1` is the inverse
+    of `a`; words become tuples of them.  Each rule direction becomes
+    one matcher `(op, rule id, dir, pattern, arg)`, filed under the atom
+    its pattern starts with, so a position only tries matchers that can
+    fire there.  Redexes are found by slice comparison, with no
+    apply_rule call and no exception.  Words and ProofSteps are built
+    only by `decode` and `steps`, for the words a caller keeps.
+    """
+
+    def __init__(self, system: RuleSystem, hypotheses, words):
+        hyp_names = {a.name for h in hypotheses for w in h for a in w}
+        names = {a.name for w in words for a in w} | hyp_names
+        for r in system.rules:
+            if r.kind == GROUND:
+                names.update(a.name for a in r.lhs + r.rhs)
+            elif r.kind == IDENTITY_ELIM:
+                names.add(r.atom.name)
+        order = sorted(names)
+        self._index = {name: i for i, name in enumerate(order)}
+        self._atoms = [Atom(name, inv) for name in order for inv in (False, True)]
+        # pair insertion draws on the word's and the hypotheses' names,
+        # never the identity's: inserting that is identity-elim's job
+        self._pair_names = frozenset(self._index[n] for n in hyp_names)
+        self._no_pair = self._index.get(system.identity_name)
+        rules = _sorted_rules(system, hypotheses)
+        self._moves = self._table([self._matcher(r, d) for r in rules for d in (LR, RL)])
+        self._reducers = self._table([self._matcher(r, d) for r, d in _reducers(rules)])
+
+    def encode(self, w: Word) -> tuple[int, ...]:
+        index = self._index
+        return tuple(2 * index[a.name] + a.inverted for a in w)
+
+    def decode(self, t: tuple[int, ...]) -> Word:
+        atoms = self._atoms
+        return Word(tuple([atoms[c] for c in t]))
+
+    def steps(self, chain) -> tuple[ProofStep, ...]:
+        return tuple(ProofStep(rid, d, pos, self.decode(t)) for t, rid, d, pos in chain)
+
+    def _matcher(self, r: Rule, d: str) -> tuple:
+        if r.kind == GROUND:
+            pat, rep = (r.lhs, r.rhs) if d == LR else (r.rhs, r.lhs)
+            return (_SPAN, r.id, d, self.encode(pat), self.encode(rep))
+        if r.kind == IDENTITY_ELIM:
+            return (_DROP if d == LR else _INSERT, r.id, d,
+                    self.encode(Word((r.atom,))), r.needs == "left")
+        return (_CANCEL if d == LR else _PAIRS, r.id, d, None, None)
+
+    def _table(self, matchers) -> list[tuple]:
+        """For each atom code, the matchers to try at a position holding
+        it, in neighbour order; the extra last entry serves the position
+        just past the end, where only insertions fire."""
+        table = [tuple(m for m in matchers if m[0] in _ANYWHERE or m[3][0] == c)
+                 for c in range(len(self._atoms))]
+        table.append(tuple(m for m in matchers if m[0] in (_INSERT, _PAIRS)))
+        return table
+
+    def _pairs(self, w) -> list[tuple[int, int]]:
+        names = sorted(({c >> 1 for c in w} | self._pair_names) - {self._no_pair})
+        return [pair for i in names for pair in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i))]
+
+    def _rewrites(self, w, table, max_len: int):
+        """Yield (result, rule id, dir, pos) for every matcher of `table`
+        that fires on `w` with a result of at most `max_len` atoms, in
+        neighbors() order; the same side conditions as apply_rule."""
+        n = len(w)
+        pairs = None
+        for pos in range(n + 1):
+            for op, rid, d, pat, arg in table[w[pos] if pos < n else -1]:
+                if op == _SPAN:
+                    k = len(pat)
+                    if w[pos:pos + k] == pat and n - k + len(arg) <= max_len:
+                        yield w[:pos] + arg + w[pos + k:], rid, d, pos
+                elif op == _DROP:  # arg: the neighbour needed is on the left
+                    if (pos > 0 if arg else pos < n - 1) and n - 1 <= max_len:
+                        yield w[:pos] + w[pos + 1:], rid, d, pos
+                elif op == _INSERT:
+                    if (pos > 0 if arg else pos < n) and n < max_len:
+                        yield w[:pos] + pat + w[pos:], rid, d, pos
+                elif op == _CANCEL:
+                    if pos + 1 < n and w[pos + 1] == w[pos] ^ 1 and 2 < n and n - 2 <= max_len:
+                        yield w[:pos] + w[pos + 2:], rid, d, pos
+                elif n + 2 <= max_len:  # _PAIRS
+                    if pairs is None:
+                        pairs = self._pairs(w)
+                    for pair in pairs:
+                        yield w[:pos] + pair + w[pos:], rid, d, pos
+
+    def expand(self, w, max_len: int):
+        """The one-step rewrites of `w`, as neighbors() lists them."""
+        return self._rewrites(w, self._moves, max_len)
+
+    def normalize(self, w):
+        """normalize() on an encoded word: the normal form and the chain
+        of (result, rule id, dir, pos) that reaches it."""
+        chain = []
+        while True:
+            # reducers never lengthen a word, so len(w) bounds nothing
+            hit = next(self._rewrites(w, self._reducers, len(w)), None)
+            if hit is None:
+                return w, chain
+            chain.append(hit)
+            w = hit[0]
 
 
 # ---------------------------------------------------------------------------
@@ -423,35 +511,39 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
     if lhs == rhs:
         return Proof(system.name, hypotheses, goal, ())
 
-    nl, ls = normalize(lhs, system, hypotheses)
-    nr, rs = normalize(rhs, system, hypotheses)
+    core = _Core(system, hypotheses, goal)
+    lt, rt = core.encode(lhs), core.encode(rhs)
+    nl, ls = core.normalize(lt)
+    nr, rs = core.normalize(rt)
     if nl == nr:
-        steps = tuple(ls) + tuple(_invert_chain(rhs, rs))
+        steps = core.steps(ls) + tuple(_invert_chain(rhs, core.steps(rs)))
         return Proof(system.name, hypotheses, goal, steps)
 
-    # bidirectional BFS; parents map word -> (predecessor, step into word)
-    fwd: dict[Word, tuple[Word | None, ProofStep | None]] = {lhs: (None, None)}
-    bwd: dict[Word, tuple[Word | None, ProofStep | None]] = {rhs: (None, None)}
-    f_frontier, b_frontier = [lhs], [rhs]
+    # bidirectional BFS over encoded words; seen maps word -> None for the
+    # root, else (predecessor, (word, rule id, dir, pos) of the step into it)
+    fwd: dict[tuple, tuple | None] = {lt: None}
+    bwd: dict[tuple, tuple | None] = {rt: None}
+    f_frontier, b_frontier = [lt], [rt]
     f_depth = b_depth = 0
     nodes = 0
+    max_len = config.max_word_len
 
     def grow(frontier, seen, other):
         nonlocal nodes
         fresh = []
-        meet = None
         for w in frontier:
             nodes += 1
             if nodes > config.max_nodes:
                 raise _Budget
-            for w2, step in neighbors(w, system, hypotheses, config.max_word_len):
+            for hit in core.expand(w, max_len):
+                w2 = hit[0]
                 if w2 in seen:
                     continue
-                seen[w2] = (w, step)
+                seen[w2] = (w, hit)
                 fresh.append(w2)
                 if w2 in other:
                     return fresh, w2
-        return fresh, meet
+        return fresh, None
 
     # For systems without inverse-cancel the one-step relation is symmetric,
     # so the bounded rewrite graph is undirected and one side exhausting its
@@ -473,32 +565,29 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
                 b_frontier, meet = grow(b_frontier, bwd, fwd)
                 b_depth += 1
             if meet is not None:
-                return _stitch(system, hypotheses, goal, meet, fwd, bwd, nodes)
+                steps = _stitch(core, meet, fwd, bwd)
+                return Proof(system.name, hypotheses, goal, steps, nodes_expanded=nodes)
             if not system.allows_inverses and (not f_frontier or not b_frontier):
                 return NotFound(nodes, None)
     except _Budget:
         return NotFound(nodes, "max_nodes")
 
 
-def _walk(seen, w) -> list[tuple[Word, ProofStep]]:
-    # edges from the root out to w, in root-to-w order
+def _walk(seen, w) -> list[tuple]:
+    # (predecessor, step) edges from the root out to w, in root-to-w order
     edges = []
-    cur = w
-    while True:
-        parent, step = seen[cur]
-        if parent is None:
-            break
-        edges.append((parent, step))
-        cur = parent
+    while seen[w] is not None:
+        edges.append(seen[w])
+        w = seen[w][0]
     edges.reverse()
     return edges
 
-def _stitch(system, hypotheses, goal, meet, fwd, bwd, nodes) -> Proof:
-    steps = [step for _, step in _walk(fwd, meet)]
-    for parent, step in reversed(_walk(bwd, meet)):
-        steps.append(ProofStep(step.rule, RL if step.dir == LR else LR,
-                               step.pos, parent))
-    return Proof(system.name, hypotheses, goal, tuple(steps), nodes_expanded=nodes)
+
+def _stitch(core: _Core, meet, fwd, bwd) -> tuple[ProofStep, ...]:
+    steps = list(core.steps(hit for _, hit in _walk(fwd, meet)))
+    for parent, (_, rid, d, pos) in reversed(_walk(bwd, meet)):
+        steps.append(ProofStep(rid, RL if d == LR else LR, pos, core.decode(parent)))
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +704,9 @@ def proof_from_dict(data: dict) -> Proof:
             rule, d, pos, result = item["rule"], item["dir"], item["pos"], item["result"]
         except (TypeError, KeyError):
             raise ValueError(f"step {i} is missing a field") from None
+        # bool is an int subclass, but "pos": true is not a position
         if not isinstance(rule, str) or not isinstance(d, str) or not isinstance(pos, int) \
-                or not isinstance(result, str):
+                or isinstance(pos, bool) or not isinstance(result, str):
             raise ValueError(f"step {i} field has the wrong shape")
         steps.append(ProofStep(rule, d, pos, parse_word(result)))
     return Proof(system, hypotheses, goal, tuple(steps))

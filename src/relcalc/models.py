@@ -78,7 +78,6 @@ class ModelQuery:
     system: str
     size: int
     limit: int | None = None
-    count_only: bool = False
 
 
 _DIT_FAMILY = {"DIT", "DIT+", "DITS"}
@@ -231,12 +230,14 @@ def _propagate(t: list[list[int | None]], n: int, trail: list[tuple[int, int]],
 
 def enumerate_models(q: ModelQuery, ceiling: int = SIZE_CEILING) -> list[Model]:
     """All models of the queried system and size, in designation-major,
-    table-lexicographic order.  `limit` truncates, `count_only` is
-    handled by count_models."""
+    table-lexicographic order.  `limit`, when given, must be at least 1
+    and keeps only the first `limit` models."""
     system = _as_system(q.system)
     n = q.size
     if not 1 <= n <= ceiling:
         raise ValueError(f"size {n} outside 1..{ceiling}")
+    if q.limit is not None and q.limit < 1:
+        raise ValueError(f"limit must be at least 1, got {q.limit}")
     name = system.name
     out: list[Model] = []
 

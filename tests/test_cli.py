@@ -98,6 +98,18 @@ def test_check_ok_and_rejected(tmp_path, capsys):
     assert out.startswith("rejected at step 0:")
 
 
+def test_check_boolean_position_is_exit_1(tmp_path, capsys):
+    data = json.loads(proof_to_json(prove_equal(parse_equation("x = z"), "dit+",
+                                                [parse_equation("x y = z y")])))
+    step = next(s for s in data["steps"] if s["pos"] == 1)
+    step["pos"] = True
+    script = tmp_path / "bool.json"
+    script.write_text(json.dumps(data), encoding="utf-8")
+    rc, out, err = run(capsys, "check", str(script))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and "wrong shape" in err
+
+
 def test_check_unreadable_inputs(tmp_path, capsys):
     rc, _, err = run(capsys, "check", str(tmp_path / "missing.json"))
     assert rc == 1 and "cannot read" in err
@@ -113,6 +125,64 @@ def test_suite_command(capsys):
     lines = out.splitlines()
     assert lines[0] == "suite dits"
     assert lines[-1] == "3/3 proved"
+
+
+# Byte-exact output of the proof suites: each line carries the step and
+# node counts of one search, so any change to search order shows here.
+SUITE_OUTPUT = {
+    "er": """\
+suite er
+  ok   er1: x x = y x |- x = y  [7 steps, 8 nodes]
+  ok   er2: x x = z x |- x = z  [7 steps, 11 nodes]
+  ok   er3: y x = z x |- y = z  [7 steps, 11 nodes]
+  ok   er4: x y = y y |- x = y  [5 steps, 5 nodes]
+  ok   er5: x y = z y |- x = z  [5 steps, 5 nodes]
+  ok   er6: y y = z y |- y = z  [5 steps, 5 nodes]
+  ok   er7: x z = y z |- x = y  [9 steps, 15 nodes]
+  ok   er8: x z = z z |- x = z  [9 steps, 19 nodes]
+  ok   er9: y z = z z |- y = z  [9 steps, 21 nodes]
+9/9 proved
+""",
+    "pr01": """\
+suite pr01
+  ok   pr01-1: x x = x y |- x = y  [7 steps, 9 nodes]
+  ok   pr01-2: x x = x z |- x = z  [7 steps, 8 nodes]
+  ok   pr01-3: x y = x z |- y = z  [7 steps, 12 nodes]
+  ok   pr01-4: y x = y y |- x = y  [9 steps, 15 nodes]
+  ok   pr01-5: y x = y z |- x = z  [9 steps, 15 nodes]
+  ok   pr01-6: y y = y z |- y = z  [9 steps, 23 nodes]
+  ok   pr01-7: z x = z y |- x = y  [5 steps, 5 nodes]
+  ok   pr01-8: z x = z z |- x = z  [5 steps, 5 nodes]
+  ok   pr01-9: z y = z z |- y = z  [5 steps, 5 nodes]
+9/9 proved
+""",
+    "dits": """\
+suite dits
+  ok   Lxzz: x z = z  [4 steps, 4 nodes]
+  ok   Lxyyx: x y = y x  [3 steps, 4 nodes]
+  ok   Lxxx: x x = x  [5 steps, 7 nodes]
+3/3 proved
+""",
+    "collapse": """\
+suite collapse
+  ok   collapse1: x = y |- x = z  [3 steps, 3 nodes]
+  ok   collapse2: x = z |- x = y  [3 steps, 3 nodes]
+  ok   collapse3: y = z |- x = x x  [5 steps, 7 nodes]
+  ok   collapse3-seed: y = z |- y = y y y  [3 steps, 3 nodes]
+progression demo (reapplying the proved expansion at position 0):
+  y
+  y y y
+  y y y y y
+  y y y y y y y
+  y y y y y y y y y
+4/4 proved
+""",
+}
+
+
+@pytest.mark.parametrize("suite_id", sorted(SUITE_OUTPUT))
+def test_proof_suite_output_is_pinned(suite_id, capsys):
+    assert run(capsys, "suite", suite_id) == (0, SUITE_OUTPUT[suite_id], "")
 
 
 def test_models_count_and_listing(capsys):
@@ -131,6 +201,13 @@ def test_models_count_and_listing(capsys):
 def test_models_empty_is_success(capsys):
     rc, out, _ = run(capsys, "models", "--system", "dit", "--size", "2")
     assert (rc, out) == (0, "")
+
+
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_models_limit_below_one_is_exit_1(limit, capsys):
+    rc, out, err = run(capsys, "models", "--system", "dit", "--size", "3", "--limit", limit)
+    assert (rc, out) == (1, "")
+    assert err == f"error: limit must be at least 1, got {limit}\n"
 
 
 def test_models_size_out_of_range(capsys):

@@ -4,12 +4,13 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from relcalc.engine import (LR, RL, EmptyResult, NoMatch, NotFound, Proof,
-                            ProofStep, SearchConfig, TooLong, apply_rule,
-                            check_proof, check_proof_data, hypothesis_rules,
-                            make_system, neighbors, normalize, proof_from_dict,
+from relcalc.engine import (GROUND, INVERSE_CANCEL, LR, RL, EmptyResult,
+                            NoMatch, NotFound, Proof, ProofStep, RewriteError,
+                            SearchConfig, TooLong, apply_rule, check_proof,
+                            check_proof_data, hypothesis_rules, make_system,
+                            neighbors, normalize, proof_from_dict,
                             proof_to_dict, proof_to_json, prove_equal,
                             reverse_proof)
 from relcalc.terms import Atom, Word, parse_equation, parse_word, print_word
@@ -138,6 +139,115 @@ def test_neighbors_dgss_insertions():
     assert all("b" not in s for s in words)
     # insertion steps cite the cancel rule in reverse
     assert any(s.rule == "ax9a" and s.dir == RL for _, s in out)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the search core must agree with these loops,
+# which only ever call apply_rule on Words
+
+
+def _reference_rules(system, hypotheses):
+    return sorted(list(system.rules) + hypothesis_rules(hypotheses), key=lambda r: r.id)
+
+
+def _reference_neighbors(w, system, hypotheses=(), max_len=16):
+    system = make_system(system)
+    hypotheses = tuple(hypotheses)
+    ident = system.identity_name
+    names = {a.name for a in w}
+    for l, r in hypotheses:
+        names.update(a.name for a in l)
+        names.update(a.name for a in r)
+    out = []
+    for pos in range(len(w) + 1):
+        for r in _reference_rules(system, hypotheses):
+            for d in (LR, RL):
+                if r.kind == INVERSE_CANCEL and d == RL:
+                    if len(w) + 2 > max_len:
+                        continue
+                    for name in sorted(names):
+                        if name == ident:
+                            continue
+                        for first_marked in (False, True):
+                            pair = (Atom(name, first_marked), Atom(name, not first_marked))
+                            w2 = Word(w.atoms[:pos] + pair + w.atoms[pos:])
+                            out.append((w2, ProofStep(r.id, RL, pos, w2)))
+                    continue
+                try:
+                    w2 = apply_rule(w, r, pos, d, max_len=max_len)
+                except RewriteError:
+                    continue
+                out.append((w2, ProofStep(r.id, d, pos, w2)))
+    return out
+
+
+def _reference_normalize(w, system, hypotheses=()):
+    # orient each ground rule toward the shortlex-smaller printed side,
+    # then rewrite at the leftmost redex with the smallest rule id
+    def key(u):
+        return (len(u), print_word(u))
+
+    reducers = []
+    for r in _reference_rules(make_system(system), tuple(hypotheses)):
+        if r.kind != GROUND or key(r.lhs) > key(r.rhs):
+            reducers.append((r, LR))
+        elif key(r.rhs) > key(r.lhs):
+            reducers.append((r, RL))
+    steps = []
+    while True:
+        hit = None
+        for pos in range(len(w)):
+            for r, d in reducers:
+                try:
+                    hit = ProofStep(r.id, d, pos, apply_rule(w, r, pos, d))
+                    break
+                except RewriteError:
+                    continue
+            if hit:
+                break
+        if hit is None:
+            return w, tuple(steps)
+        steps.append(hit)
+        w = hit.result
+
+
+_NAMES = {"dit": "xyza", "dit+": "xyza", "dits": "xyza",
+          "dgs": "abe", "dgs+": "abe", "dgss": "abe"}
+
+
+@st.composite
+def _problems(draw):
+    system = draw(st.sampled_from(sorted(_NAMES)))
+    marks = st.booleans() if system == "dgss" else st.just(False)
+    atom = st.builds(Atom, st.sampled_from(_NAMES[system]), marks)
+
+    def word(lo, hi):
+        return draw(st.lists(atom, min_size=lo, max_size=hi).map(lambda a: Word(tuple(a))))
+
+    hyps = [(word(1, 3), word(1, 3)) for _ in range(draw(st.integers(0, 2)))]
+    return system, word(1, 6), hyps, draw(st.integers(1, 9))
+
+
+@given(_problems())
+@example(("dgss", W("a a'"), [], 4))  # cancelling the whole word is refused
+@example(("dgs+", W("e"), [], 1))     # a lone identity has no neighbour to lean on
+@settings(max_examples=400, deadline=None)
+def test_core_matches_reference_loops(problem):
+    system, w, hyps, max_len = problem
+    assert neighbors(w, system, hyps, max_len) == _reference_neighbors(w, system, hyps, max_len)
+    assert normalize(w, system, hyps) == _reference_normalize(w, system, hyps)
+
+
+@pytest.mark.parametrize("system, goal, max_len, nodes", [
+    ("dits", "x y x = y y", 7, 537),
+    ("dgss", "a b a' = b", 6, 322),
+    ("dgss", "a b = b a", 6, 684),
+    ("dit", "y y = y", 8, 342),
+    ("dgs+", "a b c = c b a", 8, 196),
+])
+def test_exhausting_searches_are_pinned(system, goal, max_len, nodes):
+    res = prove_equal(parse_equation(goal), system, config=SearchConfig(max_word_len=max_len))
+    assert res == NotFound(nodes, None)
 
 
 def test_hypothesis_rule_ids_are_positional():
@@ -383,6 +493,7 @@ def test_script_structural_errors():
         {k: v for k, v in good.items() if k != "goal"},
         {**good, "steps": [{"rule": "ax7"}]},
         {**good, "steps": [{**good["steps"][0], "pos": "0"}]},
+        {**good, "steps": [{**good["steps"][0], "pos": True}]},  # bool, though True == 1
     ]:
         with pytest.raises(ValueError):
             proof_from_dict(corrupt)

@@ -131,6 +131,18 @@ def test_enumeration_is_deterministic_and_limit_truncates():
     assert [m.key() for m in cut] == [m.key() for m in full[:5]]
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limit_below_one_rejected(limit):
+    with pytest.raises(ValueError, match="limit must be at least 1"):
+        enumerate_models(ModelQuery("dit", 3, limit=limit))
+
+
+def test_query_has_no_count_only_field():
+    # counting is len() of the enumeration; the query carries no such mode
+    with pytest.raises(TypeError):
+        ModelQuery("dgss", 2, count_only=True)
+
+
 def test_identity_family_models_agree_up_to_3():
     # left identity + left inverses already force a group
     for n in (1, 2, 3):
