@@ -10,6 +10,16 @@ word; the empty word exists only inside the reduction loop.
 A marked identity atom means "the inverse of the identity", which is
 the identity again, so reduction deletes it like any other identity
 occurrence and invert() never marks it.
+
+Reduction runs on int codes, not on atoms.  Each public call numbers
+the names in play in order of appearance and codes an atom as
+``2 * index + mark``, so an atom and its inverse differ in the low bit
+and cancel when ``c == d ^ 1``.  The identity gets index -1, so both of
+its codes are negative (``-2``, and ``-1`` when marked; ``^ 1`` swaps
+them), and ``_reduce`` deletes every negative code.  ``equal_dgss``
+compares reduced code lists and builds no word; ``free_reduce`` maps
+codes back to the atoms of its input.  ``verify_dgss_lemmas`` samples
+codes directly and checks them through the same ``_reduce``.
 """
 
 from __future__ import annotations
@@ -22,19 +32,37 @@ from .terms import Atom, Word
 IDENTITY = "e"
 
 
+def _encode(w: Word, index: dict[str, int]) -> list[int]:
+    """The codes of `w`; names not yet in `index` get the next index.
+    `index` starts as ``{identity: -1}``."""
+    number = index.setdefault
+    return [2 * number(a.name, len(index)) + a.inverted for a in w.atoms]
+
+
+def _reduce(codes: list[int]) -> list[int]:
+    """Delete identity codes and cancel adjacent inverse pairs, left to
+    right on a stack.  An empty result is the identity."""
+    stack = [-3]  # a bottom no code cancels, so the loop needs no empty test
+    for c in codes:
+        if c >= 0:
+            if stack[-1] == c ^ 1:
+                stack.pop()
+            else:
+                stack.append(c)
+    del stack[0]
+    return stack
+
+
 def free_reduce(w: Word, identity: str = IDENTITY) -> Word:
     """The unique reduced form of `w`: no identity atoms, no adjacent
     cancelling pair.  A word that cancels away entirely comes back as
     the one-atom identity word."""
-    stack: list[Atom] = []
-    for a in w:
-        if a.name == identity:
-            continue
-        if stack and stack[-1].name == a.name and stack[-1].inverted != a.inverted:
-            stack.pop()
-        else:
-            stack.append(a)
-    return Word(tuple(stack)) if stack else Word((Atom(identity),))
+    codes = _encode(w, {identity: -1})
+    stack = _reduce(codes)
+    if not stack:
+        return Word((Atom(identity),))
+    atom = dict(zip(codes, w.atoms))
+    return Word(tuple(atom[c] for c in stack))
 
 
 def invert(w: Word, identity: str = IDENTITY) -> Word:
@@ -47,18 +75,18 @@ def invert(w: Word, identity: str = IDENTITY) -> Word:
 
 
 def is_reduced(w: Word, identity: str = IDENTITY) -> bool:
-    if any(a.name == identity for a in w):
-        return len(w) == 1
-    return all(
-        w[i].name != w[i + 1].name or w[i].inverted == w[i + 1].inverted
-        for i in range(len(w) - 1)
-    )
+    """True iff ``free_reduce(w) == w``: `w` is the unmarked one-atom
+    identity word, or it holds no identity atom and no cancelling pair."""
+    codes = _encode(w, {identity: -1})
+    stack = _reduce(codes)
+    return len(stack) == len(codes) if stack else codes == [-2]
 
 
 def equal_dgss(u: Word, v: Word, identity: str = IDENTITY) -> bool:
     """True iff the words denote the same element; equivalently,
     free_reduce(u + invert(v)) is the identity word."""
-    return free_reduce(u, identity) == free_reduce(v, identity)
+    index = {identity: -1}
+    return _reduce(_encode(u, index)) == _reduce(_encode(v, index))
 
 
 # ---------------------------------------------------------------------------
@@ -83,29 +111,35 @@ class DeciderReport:
         return out
 
 
-_NAMES = ("a", "b", "c", "d")
+# Sampled words are code lists over the names a, b, c, d (indices 0-3);
+# an inserted identity is -2.  The samplers make exactly the rng calls,
+# in the same order, that sampling `Word`s of those names made, so a
+# seed draws the same instances as it always has.
+_BASES = (0, 2, 4, 6)
+_E = -2
 
 
-def _random_word(rng: random.Random, max_len: int = 6) -> Word:
-    k = rng.randint(1, max_len)
-    return Word(tuple(
-        Atom(rng.choice(_NAMES), rng.random() < 0.5) for _ in range(k)
-    ))
+def _random_word(rng: random.Random, max_len: int = 6) -> list[int]:
+    return [rng.choice(_BASES) + (rng.random() < 0.5)
+            for _ in range(rng.randint(1, max_len))]
 
 
-def _fatten(rng: random.Random, w: Word) -> Word:
+def _fatten(rng: random.Random, w: list[int]) -> list[int]:
     """An unreduced word equal to `w`: sprinkle identity atoms and
     cancelling pairs at random positions."""
-    atoms = list(w.atoms)
+    atoms = list(w)
     for _ in range(rng.randint(0, 3)):
         pos = rng.randint(0, len(atoms))
         if rng.random() < 0.4:
-            atoms[pos:pos] = [Atom(IDENTITY)]
+            atoms.insert(pos, _E)
         else:
-            name = rng.choice(_NAMES)
-            marked = rng.random() < 0.5
-            atoms[pos:pos] = [Atom(name, marked), Atom(name, not marked)]
-    return Word(tuple(atoms))
+            c = rng.choice(_BASES) + (rng.random() < 0.5)
+            atoms[pos:pos] = (c, c ^ 1)
+    return atoms
+
+
+def _invert(w: list[int]) -> list[int]:
+    return [c ^ 1 for c in reversed(w)]
 
 
 def verify_dgss_lemmas(samples: int, seed: int) -> DeciderReport:
@@ -119,41 +153,39 @@ def verify_dgss_lemmas(samples: int, seed: int) -> DeciderReport:
     pr2f  right multiplication cancels: x z = y z iff x = y
 
     Every property is checked `samples` times with its own derived
-    instances; the report carries pass counts per property.
+    instances; the report carries pass counts per property.  A word
+    equals the identity when it reduces to the empty code list.
     """
     rng = random.Random(seed)
-    ident = Word((Atom(IDENTITY),))
-    results = {name: [0, 0] for name in ("lm2a", "lm2b", "lm2c", "lm2d", "pr2e", "pr2f")}
-
-    def tally(name, ok):
-        results[name][1] += 1
-        results[name][0] += 1 if ok else 0
+    reduce = _reduce
+    passed = dict.fromkeys(("lm2a", "lm2b", "lm2c", "lm2d", "pr2e", "pr2f"), 0)
 
     for _ in range(samples):
         x = _random_word(rng)
         y = _fatten(rng, x)  # equal to x by construction
-        s, t = invert(x), invert(y)
-        tally("lm2a", equal_dgss(s + x, ident) and equal_dgss(t + y, ident)
-              and free_reduce(s) == free_reduce(t))
-        tally("lm2b", equal_dgss(x + s, ident) and equal_dgss(y + t, ident)
-              and free_reduce(s) == free_reduce(t))
+        s, t = _invert(x), _invert(y)
+        same = reduce(s) == reduce(t)
+        passed["lm2a"] += same and not reduce(s + x) and not reduce(t + y)
+        passed["lm2b"] += same and not reduce(x + s) and not reduce(y + t)
 
         z = _random_word(rng)
-        u = _fatten(rng, invert(z))  # z u = identity
-        v = _fatten(rng, invert(z))  # z v = identity
-        tally("lm2c", equal_dgss(z + u, ident) and equal_dgss(z + v, ident)
-              and equal_dgss(u, v))
-        u2 = _fatten(rng, invert(z))
-        v2 = _fatten(rng, invert(z))
-        tally("lm2d", equal_dgss(u2 + z, ident) and equal_dgss(v2 + z, ident)
-              and equal_dgss(u2, v2))
+        u = _fatten(rng, _invert(z))  # z u = identity
+        v = _fatten(rng, _invert(z))  # z v = identity
+        passed["lm2c"] += (not reduce(z + u) and not reduce(z + v)
+                           and reduce(u) == reduce(v))
+        u2 = _fatten(rng, _invert(z))
+        v2 = _fatten(rng, _invert(z))
+        passed["lm2d"] += (not reduce(u2 + z) and not reduce(v2 + z)
+                           and reduce(u2) == reduce(v2))
 
         # cancellation, both as implication and as its converse: the pair
         # (x, y) is equal half the time and independent otherwise
         z = _random_word(rng)
         x = _random_word(rng)
         y = _fatten(rng, x) if rng.random() < 0.5 else _random_word(rng)
-        tally("pr2e", equal_dgss(z + x, z + y) == equal_dgss(x, y))
-        tally("pr2f", equal_dgss(x + z, y + z) == equal_dgss(x, y))
+        same = reduce(x) == reduce(y)
+        passed["pr2e"] += (reduce(z + x) == reduce(z + y)) == same
+        passed["pr2f"] += (reduce(x + z) == reduce(y + z)) == same
 
-    return DeciderReport(samples, seed, {k: (v[0], v[1]) for k, v in results.items()})
+    total = max(samples, 0)
+    return DeciderReport(samples, seed, {k: (p, total) for k, p in passed.items()})

@@ -124,7 +124,10 @@ _CLOSE = {")", "]"}
 
 
 def _lex(text: str):
-    """Yield (kind, value, offset) triples; kind is 'atom', 'open' or 'close'."""
+    """Yield (kind, value, offset) triples; kind is 'atom', 'open' or 'close'.
+    Each distinct atom is built once per call and yielded every time it
+    occurs."""
+    seen: dict[str, Atom] = {}
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -143,14 +146,17 @@ def _lex(text: str):
             j = i
             while j < n and text[j] in _NAME_CHARS:
                 j += 1
-            name = text[i:j]
             inverted = False
             if j < n and text[j] == "'":
                 inverted = True
                 j += 1
                 if j < n and text[j] == "'":
                     raise ParseError("doubled inversion mark", j)
-            yield ("atom", Atom(name, inverted), i)
+            token = text[i:j]
+            atom = seen.get(token)
+            if atom is None:
+                atom = seen[token] = Atom(token.rstrip("'"), inverted)
+            yield ("atom", atom, i)
             i = j
             continue
         if c == "'":
@@ -170,36 +176,48 @@ def _combine(items: list[TermTree]) -> TermTree:
     return out
 
 
+def _parse(text: str, group=None) -> list[TermTree]:
+    """The delimiter stack machine behind `parse` and `parse_word`.
+
+    Leaves go to one list in input order.  When a group closes,
+    `group`, if given, replaces the group's items with its result;
+    without it the list stays flat.  Returns the top-level items.
+    """
+    items: list[TermTree] = []
+    # each open group: (closing char expected, offset of the open, index
+    # of its first item)
+    stack: list[tuple[str, int, int]] = []
+    for kind, value, offset in _lex(text):
+        if kind == "atom":
+            items.append(value)
+        elif kind == "open":
+            stack.append((_OPEN[value], offset, len(items)))
+        else:
+            if not stack:
+                raise ParseError(f"unmatched {value!r}", offset)
+            expected, open_offset, start = stack.pop()
+            if value != expected:
+                raise ParseError(
+                    f"mismatched delimiter: {value!r} closes the group opened at "
+                    f"offset {open_offset}", offset)
+            if start == len(items):
+                raise ParseError("empty group", offset)
+            if group is not None:
+                items[start:] = [group(items[start:])]
+    if stack:
+        raise ParseError("unclosed group", stack[-1][1])
+    if not items:
+        raise ParseError("empty input", 0)
+    return items
+
+
 def parse(text: str) -> TermTree:
     """Parse `text` into a term tree.
 
     Raises :class:`ParseError` with a byte offset for stray characters,
     unbalanced or mismatched delimiters, and empty groups or input.
     """
-    # each frame: (closing char expected or None, offset of the open, items)
-    stack: list[tuple[str | None, int, list[TermTree]]] = [(None, 0, [])]
-    for kind, value, offset in _lex(text):
-        if kind == "atom":
-            stack[-1][2].append(value)
-        elif kind == "open":
-            stack.append((_OPEN[value], offset, []))
-        else:
-            expected, open_offset, items = stack[-1]
-            if expected is None:
-                raise ParseError(f"unmatched {value!r}", offset)
-            if value != expected:
-                raise ParseError(
-                    f"mismatched delimiter: {value!r} closes the group opened at "
-                    f"offset {open_offset}", offset)
-            if not items:
-                raise ParseError("empty group", offset)
-            stack.pop()
-            stack[-1][2].append(_combine(items))
-    if len(stack) > 1:
-        raise ParseError("unclosed group", stack[-1][1])
-    if not stack[0][2]:
-        raise ParseError("empty input", 0)
-    return _combine(stack[0][2])
+    return _combine(_parse(text, _combine))
 
 
 def flatten(t: TermTree) -> Word:
@@ -218,7 +236,8 @@ def flatten(t: TermTree) -> Word:
 
 
 def parse_word(text: str) -> Word:
-    return flatten(parse(text))
+    """``flatten(parse(text))``, with the same errors, built without the tree."""
+    return Word(tuple(_parse(text)))
 
 
 def parse_equation(text: str) -> tuple[Word, Word]:

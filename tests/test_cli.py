@@ -189,6 +189,23 @@ def test_proof_suite_output_is_pinned(suite_id, capsys):
     assert run(capsys, "suite", suite_id) == (0, SUITE_OUTPUT[suite_id], "")
 
 
+# The decider suite: 10,000 seeded instances per property.
+DGSS_OUTPUT = """\
+suite dgss
+  ok   lm2a: random instances, seed 42  [10000/10000]
+  ok   lm2b: random instances, seed 42  [10000/10000]
+  ok   lm2c: random instances, seed 42  [10000/10000]
+  ok   lm2d: random instances, seed 42  [10000/10000]
+  ok   pr2e: random instances, seed 42  [10000/10000]
+  ok   pr2f: random instances, seed 42  [10000/10000]
+6/6 passed
+"""
+
+
+def test_dgss_suite_output_is_pinned(capsys):
+    assert run(capsys, "suite", "dgss") == (0, DGSS_OUTPUT, "")
+
+
 def test_models_count_and_listing(capsys):
     rc, out, _ = run(capsys, "models", "--system", "dgss",
                      "--size", "2", "--count-only")

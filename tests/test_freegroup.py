@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
+from relcalc import freegroup
 from relcalc.freegroup import (DeciderReport, equal_dgss, free_reduce, invert,
                                is_reduced, verify_dgss_lemmas)
 from relcalc.terms import Atom, Word, parse_word, print_word
@@ -34,6 +36,8 @@ def test_invert_golden():
 def test_is_reduced():
     assert is_reduced(W("a b"))
     assert is_reduced(W("e"))
+    assert not is_reduced(W("e'"))  # it reduces to e
+    assert not is_reduced(W("e e"))
     assert not is_reduced(W("a a'"))
     assert not is_reduced(W("e a"))
     assert not is_reduced(W("a' a"))
@@ -97,6 +101,40 @@ def test_reduction_strategy_confluence(w, seed):
     assert _slow_reduce(w, random.Random(seed)) == free_reduce(w)
 
 
+@given(_words)
+def test_is_reduced_iff_free_reduce_fixes_it(w):
+    assert is_reduced(w) == (free_reduce(w) == w)
+
+
+def _reference_reduce(w: Word, identity: str) -> Word:
+    # the reduction on atoms that the int-coded core replaced
+    stack: list[Atom] = []
+    for a in w:
+        if a.name == identity:
+            continue
+        if stack and stack[-1].name == a.name and stack[-1].inverted != a.inverted:
+            stack.pop()
+        else:
+            stack.append(a)
+    return Word(tuple(stack)) if stack else Word((Atom(identity),))
+
+
+_identities = st.sampled_from(["e", "a", "q1"])
+_any_words = st.builds(
+    lambda ats: Word(tuple(ats)),
+    st.lists(st.builds(Atom, st.sampled_from(["a", "b", "e", "q1"]), st.booleans()),
+             min_size=1, max_size=14))
+
+
+@given(_any_words, _any_words, _identities)
+def test_core_matches_reference_reduction(u, v, identity):
+    ru, rv = _reference_reduce(u, identity), _reference_reduce(v, identity)
+    assert free_reduce(u, identity) == ru
+    assert equal_dgss(u, v, identity) == (ru == rv)
+    assert equal_dgss(u, u + v, identity) == (rv == Word((Atom(identity),)))
+    assert is_reduced(u, identity) == (ru == u)
+
+
 def test_verify_lemmas_small_run():
     rep = verify_dgss_lemmas(400, seed=9)
     assert isinstance(rep, DeciderReport)
@@ -110,3 +148,87 @@ def test_verify_lemmas_deterministic_per_seed():
     a = verify_dgss_lemmas(100, seed=3)
     b = verify_dgss_lemmas(100, seed=3)
     assert a.results == b.results
+
+
+# The Word-based samplers that the code samplers replaced, kept as the
+# reference for the instances each seed draws.
+_NAMES = ("a", "b", "c", "d")
+
+
+def _reference_random_word(rng: random.Random, max_len: int = 6) -> Word:
+    k = rng.randint(1, max_len)
+    return Word(tuple(
+        Atom(rng.choice(_NAMES), rng.random() < 0.5) for _ in range(k)
+    ))
+
+
+def _reference_fatten(rng: random.Random, w: Word) -> Word:
+    atoms = list(w.atoms)
+    for _ in range(rng.randint(0, 3)):
+        pos = rng.randint(0, len(atoms))
+        if rng.random() < 0.4:
+            atoms[pos:pos] = [Atom("e")]
+        else:
+            name = rng.choice(_NAMES)
+            marked = rng.random() < 0.5
+            atoms[pos:pos] = [Atom(name, marked), Atom(name, not marked)]
+    return Word(tuple(atoms))
+
+
+def _reference_draws(samples: int, seed: int) -> list[Word]:
+    """Every word the Word-based lemma loop drew, in draw order."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        x = _reference_random_word(rng)
+        out += [x, _reference_fatten(rng, x)]
+        z = _reference_random_word(rng)
+        out.append(z)
+        out += [_reference_fatten(rng, invert(z)) for _ in range(4)]
+        out += [_reference_random_word(rng), _reference_random_word(rng)]
+        x = out[-1]
+        out.append(_reference_fatten(rng, x) if rng.random() < 0.5
+                   else _reference_random_word(rng))
+    return out
+
+
+def _decode(codes: list[int]) -> Word:
+    return Word(tuple(Atom("e") if c < 0 else Atom(_NAMES[c >> 1], bool(c & 1))
+                      for c in codes))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 42, 2 ** 31 - 1])
+def test_sampler_draws_the_reference_instances(seed, monkeypatch):
+    drawn = []
+
+    def recording(sampler):
+        def draw(*args):
+            out = sampler(*args)
+            drawn.append(_decode(out))
+            return out
+        return draw
+
+    monkeypatch.setattr(freegroup, "_random_word", recording(freegroup._random_word))
+    monkeypatch.setattr(freegroup, "_fatten", recording(freegroup._fatten))
+    verify_dgss_lemmas(60, seed)
+    assert drawn == _reference_draws(60, seed)
+
+
+def _no_cancellation(codes):
+    return [c for c in codes if c >= 0]
+
+
+def _keeps_identity(codes):
+    stack = []
+    for c in codes:
+        if c >= 0 and stack and stack[-1] == c ^ 1:
+            stack.pop()
+        else:
+            stack.append(c)
+    return stack
+
+
+@pytest.mark.parametrize("broken", [_no_cancellation, _keeps_identity])
+def test_lemma_checker_can_fail(broken, monkeypatch):
+    monkeypatch.setattr(freegroup, "_reduce", broken)
+    assert not verify_dgss_lemmas(200, seed=9).all_passed

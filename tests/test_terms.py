@@ -56,6 +56,7 @@ def test_flatten_ignores_grouping():
     ("   ", 0, "empty input"),
     ("()", 1, "empty group"),
     ("(x", 0, "unclosed group"),
+    ("((x) (y", 5, "unclosed group"),  # the innermost open group
     ("x)", 1, "unmatched"),
     ("(x y]", 4, "mismatched delimiter"),
     ("x $ y", 2, "unexpected character"),
@@ -63,10 +64,11 @@ def test_flatten_ignores_grouping():
     ("' a", 0, "inversion mark must follow an atom"),
 ])
 def test_parse_errors_carry_offsets(text, offset, fragment):
-    with pytest.raises(ParseError) as exc:
-        parse(text)
-    assert exc.value.offset == offset
-    assert fragment in exc.value.message
+    for parser in (parse, parse_word):
+        with pytest.raises(ParseError) as exc:
+            parser(text)
+        assert exc.value.offset == offset
+        assert fragment in exc.value.message
 
 
 def test_parse_equation():
@@ -105,3 +107,42 @@ def test_print_parse_round_trip(w):
 @given(_words, _words)
 def test_equation_round_trip(u, v):
     assert parse_equation(f"{print_word(u)} = {print_word(v)}") == (u, v)
+
+
+# Bracketed terms: every group holds at least one term, brackets nest.
+_terms = st.recursive(
+    _atoms.map(str),
+    lambda inner: st.tuples(st.sampled_from(["()", "[]"]),
+                            st.lists(inner, min_size=1, max_size=4))
+    .map(lambda g: g[0][0] + " ".join(g[1]) + g[0][1]),
+    max_leaves=20)
+_texts = st.lists(_terms, min_size=1, max_size=4).map(" ".join)
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as e:
+        return (e.message, e.offset)
+
+
+@given(_texts)
+def test_parse_word_is_flatten_of_parse(text):
+    assert parse_word(text) == flatten(parse(text))
+
+
+_edits = st.lists(st.tuples(st.integers(0, 200), st.sampled_from(["", *"()[]'$ "])),
+                 min_size=1, max_size=3)
+
+
+@given(_texts, _edits)
+def test_parse_word_fails_like_parse(text, edits):
+    # damage a well-formed text: insert a character, or ("") delete one
+    for pos, ch in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + ch + text[pos + (not ch):]
+    expected = _outcome(parse, text)
+    if isinstance(expected, tuple):
+        assert _outcome(parse_word, text) == expected
+    else:
+        assert parse_word(text) == flatten(expected)
