@@ -1,7 +1,7 @@
 """Rewrite systems over words, equational proof search, and proof checking.
 
 A rule system is a small set of rewrite rules over flat words.  The
-built-in systems:
+built-in systems, described once in the table `SYSTEMS`:
 
     DIT    ax6: x y -> y    ax7: z y -> x      (x, y, z pairwise distinct)
     DIT+   DIT plus the admitted return rule   Lzxz: z x -> z
@@ -53,9 +53,6 @@ INVERSE_CANCEL = "inverse-cancel"
 LR = "lr"
 RL = "rl"
 
-SYSTEM_NAMES = ("DIT", "DIT+", "DITS", "DGS", "DGS+", "DGSS")
-
-
 class RewriteError(Exception):
     pass
 
@@ -104,12 +101,15 @@ class Rule:
             raise ValueError(f"unknown rule kind {self.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuleSystem:
+    """Rules, the atoms a model designates (pairwise distinct), and the one
+    model obligation no rule states: every y has some z with z*y = e."""
+
     name: str
     rules: tuple[Rule, ...]
-    designated: dict[str, str]           # atom name -> role
-    distinct: tuple[tuple[str, str], ...]  # names required to denote distinct things
+    roles: tuple[str, ...]
+    left_inverses: bool = False
 
     def rule_map(self) -> dict[str, Rule]:
         return {r.id: r for r in self.rules}
@@ -136,26 +136,23 @@ AX8 = Rule("ax8", IDENTITY_ELIM, atom=_E, needs="right")
 LRXR = Rule("Lrxr", IDENTITY_ELIM, atom=_E, needs="left")
 AX9A = Rule("ax9a", INVERSE_CANCEL)
 
-_TRIPLE_ROLES = {"x": "origin", "y": "image", "z": "return"}
-_TRIPLE_DISTINCT = (("x", "y"), ("x", "z"), ("y", "z"))
+SYSTEMS = {  # by the id the CLI and proof scripts use
+    "dit": RuleSystem("DIT", (AX6, AX7), ("x", "y", "z")),
+    "dit+": RuleSystem("DIT+", (AX6, AX7, LZXZ), ("x", "y", "z")),
+    "dits": RuleSystem("DITS", (AX6, AX7, LZXZ, AX7A), ("x", "y", "z")),
+    "dgs": RuleSystem("DGS", (AX8,), ("e",), left_inverses=True),
+    "dgs+": RuleSystem("DGS+", (AX8, LRXR), ("e",), left_inverses=True),
+    "dgss": RuleSystem("DGSS", (AX8, LRXR, AX9A), ("e",), left_inverses=True),
+}
+SYSTEM_NAMES = tuple(s.name for s in SYSTEMS.values())
 
 
 def make_system(name: str) -> RuleSystem:
-    """Build one of the six systems by (case-insensitive) name."""
-    key = name.strip().lower()
-    if key == "dit":
-        return RuleSystem("DIT", (AX6, AX7), dict(_TRIPLE_ROLES), _TRIPLE_DISTINCT)
-    if key == "dit+":
-        return RuleSystem("DIT+", (AX6, AX7, LZXZ), dict(_TRIPLE_ROLES), _TRIPLE_DISTINCT)
-    if key == "dits":
-        return RuleSystem("DITS", (AX6, AX7, LZXZ, AX7A), dict(_TRIPLE_ROLES), _TRIPLE_DISTINCT)
-    if key == "dgs":
-        return RuleSystem("DGS", (AX8,), {"e": "identity"}, ())
-    if key == "dgs+":
-        return RuleSystem("DGS+", (AX8, LRXR), {"e": "identity"}, ())
-    if key == "dgss":
-        return RuleSystem("DGSS", (AX8, LRXR, AX9A), {"e": "identity"}, ())
-    raise ValueError(f"unknown system {name!r} (expected one of {', '.join(SYSTEM_NAMES)})")
+    """The system in SYSTEMS with this (case-insensitive) id."""
+    system = SYSTEMS.get(name.strip().lower())
+    if system is None:
+        raise ValueError(f"unknown system {name!r} (expected one of {', '.join(SYSTEM_NAMES)})")
+    return system
 
 
 def _as_system(system: RuleSystem | str) -> RuleSystem:

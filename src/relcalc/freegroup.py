@@ -68,7 +68,7 @@ def free_reduce(w: Word, identity: str = IDENTITY) -> Word:
 def invert(w: Word, identity: str = IDENTITY) -> Word:
     """Reverse the word and flip every mark; the identity stays unmarked."""
     out = tuple(
-        a if a.name == identity else Atom(a.name, not a.inverted)
+        Atom(a.name, a.name != identity and not a.inverted)
         for a in reversed(w.atoms)
     )
     return Word(out)

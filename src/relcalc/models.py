@@ -2,21 +2,18 @@
 plus a backtracking enumerator.
 
 A model is a total binary operation on {0..n-1} with a designation map
-naming which elements play the reserved-atom roles.  What each system
-demands of a table:
-
-    DIT    associativity, designated x y z pairwise distinct,
-           x*y = y and z*y = x
-    DIT+   DIT and z*x = z
-    DITS   DIT+ and y*z = z*y
-    DGS    associativity, designated e with e*y = y for every y,
-           and every y has some z with z*y = e
-    DGS+   DGS and y*e = y for every y
-    DGSS   DGS+ and every y has some z with z*y = y*z = e
+naming the elements that play the system's roles (`RuleSystem.roles`:
+x y z, or e), which must be pairwise distinct.  A table models a system
+when it is associative and satisfies each rule read as an equation: a
+ground rule p q -> c pins the cell p*q to c, y z <-> z y ties two
+cells, identity-elim makes row e (needs="right") or column e
+(needs="left") the identity, and inverse-cancel asks two-sided
+inverses.  A system with `left_inverses` also asks that every y has
+some z with z*y = e, which no rule states.
 
 The enumerator iterates designation assignments in ascending order and
 fills table cells row-major, propagating forced values: equations pin
-cells up front, and any associativity instance with three of its four
+or tie cells, and any associativity instance with three of its four
 products known either checks or forces the fourth.  Emission order is
 therefore designation-major, then lexicographic in the flattened
 table, and it is deterministic.  The search space may be partitioned
@@ -27,8 +24,9 @@ merged result; this implementation just runs the partitions in order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
-from .engine import _as_system
+from .engine import GROUND, IDENTITY_ELIM, SYSTEMS, RuleSystem, _as_system
 
 SIZE_CEILING = 6
 
@@ -46,14 +44,15 @@ class Model:
         rows = tuple(tuple(row) for row in self.table)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"malformed table: expected {n}x{n}")
+        # type, not isinstance: bool is an int subclass, but False is not 0
         for r in rows:
             for v in r:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if type(v) is not int or not 0 <= v < n:
                     raise ValueError(f"malformed table: entry {v!r} outside 0..{n - 1}")
         object.__setattr__(self, "table", rows)
         for k, v in self.designated.items():
-            if not 0 <= v < n:
-                raise ValueError(f"designated {k}={v} outside 0..{n - 1}")
+            if type(v) is not int or not 0 <= v < n:
+                raise ValueError(f"designated {k}={v!r} outside 0..{n - 1}")
 
     def key(self):
         """Hashable identity, for set comparisons in tests."""
@@ -75,66 +74,84 @@ class Violation:
 
 @dataclass
 class ModelQuery:
-    system: str
+    system: str | RuleSystem
     size: int
     limit: int | None = None
 
 
-_DIT_FAMILY = {"DIT", "DIT+", "DITS"}
+def _read(system: RuleSystem) -> list[tuple[str, tuple[str, ...]]]:
+    """Each rule of `system` read as an equation on tables, in rule order:
+    ("pin", (p, q, c)) for ground p q -> c, ("tie", (p, q, r, s)) for
+    ground p q -> r s, ("row", (e,)) or ("col", (e,)) for identity-elim
+    needing a right or a left neighbour, ("inverse", (e,)) for
+    inverse-cancel.  With `left_inverses`, ("left", (e,)) follows the
+    row rule, the one that makes e a left identity."""
+    e = system.identity_name
+    out = []
+    for r in system.rules:
+        if r.kind == GROUND:
+            atoms = r.lhs.atoms + r.rhs.atoms
+            names = tuple([a.name for a in atoms if not a.inverted])
+            if len(r.lhs.atoms) != 2 or len(names) != len(atoms) or len(atoms) > 4:
+                raise ValueError(f"rule {r.id} of {system.name} is not a table equation")
+            out.append(("pin" if len(atoms) == 3 else "tie", names))
+        elif r.kind == IDENTITY_ELIM:
+            out.append(("row" if r.needs == "right" else "col", (r.atom.name,)))
+            if r.needs == "right" and system.left_inverses:
+                out.append(("left", (e,)))
+        else:
+            out.append(("inverse", (e,)))
+    if system.left_inverses and ("left", (e,)) not in out \
+            or not {a for _, names in out for a in names} <= set(system.roles):
+        raise ValueError(f"the rules of {system.name} do not read as equations on its roles")
+    return out
 
 
-def check_model(m: Model, system) -> list[Violation]:
+def check_model(m: Model, system, *, _reading=None) -> list[Violation]:
     """Every violated constraint instance, one Violation each; empty
-    means the table is a model of the system."""
-    name = _as_system(system).name
-    n, t = m.size, m.table
+    means the table is a model of the system.  The enumerator passes
+    `_reading`, so it reads the rules once and each leaf still comes here."""
+    system = _as_system(system)
+    roles, reading = system.roles, _reading or _read(system)
+    n, t, d = m.size, m.table, m.designated
     v: list[Violation] = []
-    for a in range(n):
-        for b in range(n):
-            ab = t[a][b]
+    for a, ta in enumerate(t):
+        for b, tb in enumerate(t):
+            tab = t[ta[b]]
             for c in range(n):
-                if t[ab][c] != t[a][t[b][c]]:
+                if tab[c] != ta[tb[c]]:
                     v.append(Violation("assoc", (a, b, c),
-                                       f"({a}*{b})*{c}={t[ab][c]} but {a}*({b}*{c})={t[a][t[b][c]]}"))
-    if name in _DIT_FAMILY:
-        missing = [k for k in ("x", "y", "z") if k not in m.designated]
-        if missing:
-            v.append(Violation("designation", tuple(missing),
-                               f"missing designated element(s): {', '.join(missing)}"))
-            return v
-        x, y, z = m.designated["x"], m.designated["y"], m.designated["z"]
-        for p, q in (("x", "y"), ("x", "z"), ("y", "z")):
-            if m.designated[p] == m.designated[q]:
-                v.append(Violation("distinct", (p, q),
-                                   f"{p} and {q} both denote {m.designated[p]}"))
-        if t[x][y] != y:
-            v.append(Violation("equation", (x, y), f"x*y={t[x][y]}, expected y={y}"))
-        if t[z][y] != x:
-            v.append(Violation("equation", (z, y), f"z*y={t[z][y]}, expected x={x}"))
-        if name in ("DIT+", "DITS") and t[z][x] != z:
-            v.append(Violation("equation", (z, x), f"z*x={t[z][x]}, expected z={z}"))
-        if name == "DITS" and t[y][z] != t[z][y]:
-            v.append(Violation("equation", (y, z), f"y*z={t[y][z]} but z*y={t[z][y]}"))
+                                       f"({a}*{b})*{c}={tab[c]} but {a}*({b}*{c})={ta[tb[c]]}"))
+    missing = [k for k in roles if k not in d]
+    if missing:
+        v.append(Violation("designation", tuple(missing), "missing designated element"
+                           f"{'(s)' if len(roles) > 1 else ''}: {', '.join(missing)}"))
         return v
-    # identity-based family
-    if "e" not in m.designated:
-        v.append(Violation("designation", ("e",), "missing designated element: e"))
-        return v
-    e = m.designated["e"]
-    for y in range(n):
-        if t[e][y] != y:
-            v.append(Violation("identity", (y,), f"e*{y}={t[e][y]}, expected {y}"))
-    for y in range(n):
-        if all(t[z][y] != e for z in range(n)):
-            v.append(Violation("inverse", (y,), f"no z with z*{y}=e"))
-    if name in ("DGS+", "DGSS"):
-        for y in range(n):
-            if t[y][e] != y:
-                v.append(Violation("identity", (y,), f"{y}*e={t[y][e]}, expected {y}"))
-    if name == "DGSS":
-        for y in range(n):
-            if all(t[z][y] != e or t[y][z] != e for z in range(n)):
-                v.append(Violation("inverse", (y,), f"no z with z*{y}={y}*z=e"))
+    for p, q in combinations(roles, 2):
+        if d[p] == d[q]:
+            v.append(Violation("distinct", (p, q), f"{p} and {q} both denote {d[p]}"))
+    for kind, names in reading:
+        if kind == "pin":
+            p, q, c = names
+            pq = t[d[p]][d[q]]
+            if pq != d[c]:
+                v.append(Violation("equation", (d[p], d[q]), f"{p}*{q}={pq}, expected {c}={d[c]}"))
+        elif kind == "tie":
+            p, q, r, s = names
+            pq, rs = t[d[p]][d[q]], t[d[r]][d[s]]
+            if pq != rs:
+                v.append(Violation("equation", (d[p], d[q]), f"{p}*{q}={pq} but {r}*{s}={rs}"))
+        else:
+            (name,), e, cols = names, d[names[0]], tuple(zip(*t))
+            for y in range(n):
+                if kind == "row" and t[e][y] != y:
+                    v.append(Violation("identity", (y,), f"{name}*{y}={t[e][y]}, expected {y}"))
+                elif kind == "col" and t[y][e] != y:
+                    v.append(Violation("identity", (y,), f"{y}*{name}={t[y][e]}, expected {y}"))
+                elif kind == "left" and e not in cols[y]:
+                    v.append(Violation("inverse", (y,), f"no z with z*{y}={name}"))
+                elif kind == "inverse" and (e, e) not in zip(cols[y], t[y]):
+                    v.append(Violation("inverse", (y,), f"no z with z*{y}={y}*z={name}"))
     return v
 
 
@@ -146,41 +163,17 @@ class _Stop(Exception):
     pass
 
 
-def _designations(name: str, n: int):
-    if name in _DIT_FAMILY:
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if x != y and y != z and x != z:
-                        yield {"x": x, "y": y, "z": z}
-    else:
-        for e in range(n):
-            yield {"e": e}
-
-
-def _forced_cells(name: str, n: int, d: dict[str, int]) -> dict[tuple[int, int], int]:
-    cells: dict[tuple[int, int], int] = {}
-    if name in _DIT_FAMILY:
-        x, y, z = d["x"], d["y"], d["z"]
-        cells[(x, y)] = y
-        cells[(z, y)] = x
-        if name in ("DIT+", "DITS"):
-            cells[(z, x)] = z
-    else:
-        e = d["e"]
-        for k in range(n):
-            cells[(e, k)] = k
-        if name in ("DGS+", "DGSS"):
-            for k in range(n):
-                cells[(k, e)] = k
-    return cells
+def _designations(roles: tuple[str, ...], n: int):
+    """Every assignment of pairwise distinct elements to `roles`, in
+    ascending lexicographic order."""
+    return (dict(zip(roles, values)) for values in permutations(range(n), len(roles)))
 
 
 def _propagate(t: list[list[int | None]], n: int, trail: list[tuple[int, int]],
-               sym_pair: tuple[tuple[int, int], tuple[int, int]] | None) -> bool:
-    """Close the partial table under forced consequences.  Returns False
-    on contradiction.  Every placement is pushed on `trail` so the
-    caller can undo."""
+               ties: list[tuple[tuple[int, int], tuple[int, int]]]) -> bool:
+    """Close the partial table under forced consequences: associativity,
+    and cells tied equal.  Returns False on contradiction.  Every
+    placement is pushed on `trail` so the caller can undo."""
 
     def put(i: int, j: int, val: int) -> bool:
         cur = t[i][j]
@@ -212,20 +205,41 @@ def _propagate(t: list[list[int | None]], n: int, trail: list[tuple[int, int]],
                         if not put(ab, c, right):
                             return False
                         changed = True
-        if sym_pair is not None:
-            (i1, j1), (i2, j2) = sym_pair
-            if t[i1][j1] is not None and t[i2][j2] is None:
-                if not put(i2, j2, t[i1][j1]):
-                    return False
+        for (i1, j1), (i2, j2) in ties:
+            u, w = t[i1][j1], t[i2][j2]
+            if u is not None and w is None:
+                put(i2, j2, u)
                 changed = True
-            elif t[i2][j2] is not None and t[i1][j1] is None:
-                if not put(i1, j1, t[i2][j2]):
-                    return False
+            elif w is not None and u is None:
+                put(i1, j1, w)
                 changed = True
-            elif t[i1][j1] is not None and t[i2][j2] is not None \
-                    and t[i1][j1] != t[i2][j2]:
+            elif u != w:
                 return False
     return True
+
+
+def _pin(t, n, reading, d: dict[str, int]) -> list | None:
+    """Place the cells the equations pin under designation `d` and return
+    the pairs of cells tied equal, or None if two pins disagree."""
+    cells, ties = [], []
+    for kind, names in reading:
+        if kind == "pin":
+            p, q, c = names
+            cells.append((d[p], d[q], d[c]))
+        elif kind == "tie":
+            p, q, r, s = names
+            ties.append(((d[p], d[q]), (d[r], d[s])))
+        elif kind == "row":
+            e = d[names[0]]
+            cells += [(e, k, k) for k in range(n)]
+        elif kind == "col":
+            e = d[names[0]]
+            cells += [(k, e, k) for k in range(n)]
+    for i, j, val in cells:
+        if t[i][j] not in (None, val):
+            return None
+        t[i][j] = val
+    return ties
 
 
 def enumerate_models(q: ModelQuery, ceiling: int = SIZE_CEILING) -> list[Model]:
@@ -238,38 +252,29 @@ def enumerate_models(q: ModelQuery, ceiling: int = SIZE_CEILING) -> list[Model]:
         raise ValueError(f"size {n} outside 1..{ceiling}")
     if q.limit is not None and q.limit < 1:
         raise ValueError(f"limit must be at least 1, got {q.limit}")
-    name = system.name
+    reading = _read(system)
     out: list[Model] = []
 
     def emit(table, designated):
         m = Model(n, tuple(tuple(row) for row in table), dict(designated))
-        if check_model(m, system):  # propagation never replaces the final check
+        if check_model(m, system, _reading=reading):  # propagation never replaces the final check
             return
         out.append(m)
         if q.limit is not None and len(out) >= q.limit:
             raise _Stop
 
     try:
-        for d in _designations(name, n):
+        for d in _designations(system.roles, n):
             t: list[list[int | None]] = [[None] * n for _ in range(n)]
-            trail: list[tuple[int, int]] = []
-            for (i, j), val in _forced_cells(name, n, d).items():
-                t[i][j] = val
-                trail.append((i, j))
-            sym_pair = None
-            if name == "DITS":
-                sym_pair = ((d["y"], d["z"]), (d["z"], d["y"]))
-            if not _propagate(t, n, trail, sym_pair):
-                for (i, j) in trail:
-                    t[i][j] = None
-                continue
-            _fill(t, n, 0, sym_pair, emit, d)
+            ties = _pin(t, n, reading, d)
+            if ties is not None and _propagate(t, n, [], ties):
+                _fill(t, n, 0, ties, emit, d)
     except _Stop:
         pass
     return out
 
 
-def _fill(t, n, cell, sym_pair, emit, designated):
+def _fill(t, n, cell, ties, emit, designated):
     while cell < n * n and t[cell // n][cell % n] is not None:
         cell += 1
     if cell == n * n:
@@ -279,27 +284,27 @@ def _fill(t, n, cell, sym_pair, emit, designated):
     for val in range(n):
         trail = [(i, j)]
         t[i][j] = val
-        if _propagate(t, n, trail, sym_pair):
-            _fill(t, n, cell + 1, sym_pair, emit, designated)
+        if _propagate(t, n, trail, ties):
+            _fill(t, n, cell + 1, ties, emit, designated)
         for (a, b) in trail:
             t[a][b] = None
 
 
 def count_models(system, n: int, ceiling: int = SIZE_CEILING) -> int:
-    return len(enumerate_models(ModelQuery(_as_system(system).name, n), ceiling))
+    return len(enumerate_models(ModelQuery(system, n), ceiling))
 
 
 def find_min_model(system, n_max: int) -> tuple[int, Model] | None:
     """The smallest size admitting a model, with the first model in
     enumeration order, or None up to n_max."""
     for n in range(1, n_max + 1):
-        found = enumerate_models(ModelQuery(_as_system(system).name, n, limit=1))
+        found = enumerate_models(ModelQuery(system, n, limit=1))
         if found:
             return n, found[0]
     return None
 
 
-_DESIGNATION_ORDER = ("x", "y", "z", "e")
+_DESIGNATION_ORDER = tuple(dict.fromkeys(r for s in SYSTEMS.values() for r in s.roles))
 
 
 def format_model(m: Model) -> str:

@@ -11,7 +11,8 @@ import pytest
 
 import relcalc
 from relcalc.cli import main
-from relcalc.engine import check_proof_data, proof_to_json, prove_equal
+from relcalc.engine import (SYSTEMS, check_proof_data, proof_to_json,
+                            prove_equal)
 from relcalc.terms import parse_equation
 
 
@@ -266,6 +267,26 @@ def test_usage_errors_exit_1(argv, capsys):
         main(argv)
     assert ei.value.code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cmd", ["prove", "models"])
+def test_system_choices_are_the_table_ids(cmd, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main([cmd, "--system", "nosuch"])
+    assert ei.value.code == 1
+    err = capsys.readouterr().err
+    assert "--system {" + ",".join(SYSTEMS) + "}" in err
+    assert f"(choose from {', '.join(map(repr, tuple(SYSTEMS)))})" in err
+
+
+def test_check_names_the_table_for_an_unknown_system(tmp_path, capsys):
+    script = tmp_path / "p.json"
+    script.write_text(json.dumps({"system": "nosuch", "hypotheses": [],
+                                  "goal": "x y = y", "steps": []}))
+    rc, out, _ = run(capsys, "check", str(script))
+    assert rc == 2
+    assert out == ("rejected: unknown system 'nosuch' "
+                   "(expected one of DIT, DIT+, DITS, DGS, DGS+, DGSS)\n")
 
 
 # Runs of the console script with the exit code and stdout lines the

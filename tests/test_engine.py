@@ -1,18 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relcalc.engine import (GROUND, INVERSE_CANCEL, LR, RL, EmptyResult,
-                            NoMatch, NotFound, Proof, ProofStep, RewriteError,
-                            SearchConfig, TooLong, apply_rule, check_proof,
-                            check_proof_data, hypothesis_rules, make_system,
-                            neighbors, normalize, proof_from_dict,
-                            proof_to_dict, proof_to_json, prove_equal,
-                            reverse_proof)
+from relcalc.engine import (GROUND, INVERSE_CANCEL, LR, RL, SYSTEM_NAMES,
+                            SYSTEMS, EmptyResult, NoMatch, NotFound, Proof,
+                            ProofStep, RewriteError, SearchConfig, TooLong,
+                            apply_rule, check_proof, check_proof_data,
+                            hypothesis_rules, make_system, neighbors,
+                            normalize, proof_from_dict, proof_to_dict,
+                            proof_to_json, prove_equal, reverse_proof)
 from relcalc.terms import Atom, Word, parse_equation, parse_word, print_word
 
 W = parse_word
@@ -39,7 +40,22 @@ def test_system_flags():
     assert not make_system("dits").allows_inverses
     assert make_system("dgs").identity_name == "e"
     assert make_system("dit").identity_name is None
-    assert make_system("dit").distinct == (("x", "y"), ("x", "z"), ("y", "z"))
+    assert make_system("dit").roles == ("x", "y", "z")
+    assert make_system("dgss").roles == ("e",)
+
+
+def test_make_system_looks_up_the_one_table():
+    assert make_system("Dit+") is SYSTEMS["dit+"]
+    assert make_system(" DGSS ") is SYSTEMS["dgss"]
+    assert SYSTEM_NAMES == ("DIT", "DIT+", "DITS", "DGS", "DGS+", "DGSS")
+    assert [s.name.lower() for s in SYSTEMS.values()] == list(SYSTEMS)
+    assert [s.left_inverses for s in SYSTEMS.values()] == [False] * 3 + [True] * 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SYSTEMS["dit"].roles = ("x", "y")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SYSTEMS["dgs"].left_inverses = False
+    fields = [f.name for f in dataclasses.fields(SYSTEMS["dit"])]
+    assert fields == ["name", "rules", "roles", "left_inverses"]
 
 
 # ---------------------------------------------------------------------------

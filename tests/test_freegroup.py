@@ -26,6 +26,8 @@ def test_marked_identity_is_still_the_identity():
     assert free_reduce(W("e' a")) == W("a")
     assert free_reduce(W("e'")) == W("e")
     assert invert(W("a e b")) == W("b' e a'")
+    assert invert(W("a e' b")) == W("b' e a'")
+    assert invert(W("e'")) == W("e")
 
 
 def test_invert_golden():
@@ -65,6 +67,8 @@ def test_free_reduce_idempotent(w):
 
 @given(_words)
 def test_inverse_cancels(w):
+    # _words draws e and e' alike; invert never marks the identity
+    assert not any(a.name == "e" and a.inverted for a in invert(w))
     assert equal_dgss(w + invert(w), W("e"))
     assert equal_dgss(invert(w) + w, W("e"))
     assert free_reduce(invert(invert(w))) == free_reduce(w)
