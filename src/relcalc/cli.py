@@ -13,7 +13,7 @@ import json
 import sys
 
 from .engine import (SYSTEMS, NotFound, SearchConfig, check_proof_data,
-                     proof_to_json, prove_equal)
+                     proof_to_json, prove_equal, system_id)
 from .models import SIZE_CEILING, ModelQuery, enumerate_models, format_model
 from .peano import as_numeral, eval_zero, verify_peano, zero_contradiction_demo
 from .suites import SUITE_IDS, run_suite
@@ -35,7 +35,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("expr")
 
     sp = sub.add_parser("prove", help="search for an equational proof")
-    sp.add_argument("--system", required=True, choices=tuple(SYSTEMS))
+    sp.add_argument("--system", required=True, type=system_id,
+                    choices=tuple(SYSTEMS))
     sp.add_argument("--hyp", action="append", default=[], metavar="EQ",
                     help="ground hypothesis equation, repeatable")
     sp.add_argument("--max-depth", type=int, default=30)
@@ -51,7 +52,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("suite_id", choices=SUITE_IDS)
 
     sp = sub.add_parser("models", help="enumerate finite models")
-    sp.add_argument("--system", required=True, choices=tuple(SYSTEMS))
+    sp.add_argument("--system", required=True, type=system_id,
+                    choices=tuple(SYSTEMS))
     sp.add_argument("--size", required=True, type=int)
     sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--limit", type=int, default=None)

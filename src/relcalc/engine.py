@@ -147,9 +147,14 @@ SYSTEMS = {  # by the id the CLI and proof scripts use
 SYSTEM_NAMES = tuple(s.name for s in SYSTEMS.values())
 
 
+def system_id(name: str) -> str:
+    """The SYSTEMS key `name` spells: ids ignore case and surrounding blanks."""
+    return name.strip().lower()
+
+
 def make_system(name: str) -> RuleSystem:
     """The system in SYSTEMS with this (case-insensitive) id."""
-    system = SYSTEMS.get(name.strip().lower())
+    system = SYSTEMS.get(system_id(name))
     if system is None:
         raise ValueError(f"unknown system {name!r} (expected one of {', '.join(SYSTEM_NAMES)})")
     return system

@@ -16,9 +16,17 @@ fills table cells row-major, propagating forced values: equations pin
 or tie cells, and any associativity instance with three of its four
 products known either checks or forces the fourth.  Emission order is
 therefore designation-major, then lexicographic in the flattened
-table, and it is deterministic.  The search space may be partitioned
-by designation or first-row prefix across workers without changing the
-merged result; this implementation just runs the partitions in order.
+table, and it is deterministic.
+
+Propagation works off a queue of the cells just placed, as SEM and
+Mace4 do: a cell i*j = v rechecks only the associativity instances
+that mention it, as a*b, as b*c, or as the looked-up product (a*b)*c
+or a*(b*c), and its tied cells.  It also prunes the two existential
+obligations as soon as they can no longer hold: a column with no cell
+left that is empty or e, under `left_inverses`, and an element y with
+no z left whose z*y and y*z are both empty or e, under inverse-cancel.
+Pruning only cuts subtrees without models; `check_model` still judges
+every complete table before it is emitted.
 """
 
 from __future__ import annotations
@@ -170,76 +178,134 @@ def _designations(roles: tuple[str, ...], n: int):
 
 
 def _propagate(t: list[list[int | None]], n: int, trail: list[tuple[int, int]],
-               ties: list[tuple[tuple[int, int], tuple[int, int]]]) -> bool:
-    """Close the partial table under forced consequences: associativity,
-    and cells tied equal.  Returns False on contradiction.  Every
-    placement is pushed on `trail` so the caller can undo."""
-
-    def put(i: int, j: int, val: int) -> bool:
-        cur = t[i][j]
-        if cur is not None:
-            return cur == val
-        t[i][j] = val
-        trail.append((i, j))
-        return True
-
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            ra = t[a]
-            for b in range(n):
-                ab = ra[b]
-                for c in range(n):
-                    bc = t[b][c]
-                    left = t[ab][c] if ab is not None else None
-                    right = ra[bc] if bc is not None else None
-                    if left is not None and right is not None:
-                        if left != right:
-                            return False
-                    elif left is not None and bc is not None:
-                        if not put(a, bc, left):
-                            return False
-                        changed = True
-                    elif right is not None and ab is not None:
-                        if not put(ab, c, right):
-                            return False
-                        changed = True
-        for (i1, j1), (i2, j2) in ties:
-            u, w = t[i1][j1], t[i2][j2]
-            if u is not None and w is None:
-                put(i2, j2, u)
-                changed = True
-            elif w is not None and u is None:
-                put(i1, j1, w)
-                changed = True
-            elif u != w:
+               watch: tuple) -> bool:
+    """Close the partial table under forced consequences, working off
+    `trail` as a queue: each cell on it is checked against the
+    associativity triples that mention it, its tied cells and the
+    existential obligations, and every cell this places is pushed on
+    `trail` in turn, so the caller can undo them.  Returns False on
+    contradiction, or as soon as an element is left without the inverse
+    `watch` asks for.  The set of cells forced does not depend on the
+    order the queue is worked in."""
+    ties, left, inverse = watch
+    rows = range(n)
+    k = 0
+    while k < len(trail):
+        i, j = trail[k]
+        k += 1
+        ri, rj = t[i], t[j]
+        v = ri[j]
+        rv = t[v]
+        for c in rows:          # (i*j)*c = v*c against i*(j*c)
+            jc = rj[c]
+            if jc is None:
+                continue
+            lhs, rhs = rv[c], ri[jc]
+            if lhs is None:
+                if rhs is not None:
+                    rv[c] = rhs
+                    trail.append((v, c))
+            elif rhs is None:
+                ri[jc] = lhs
+                trail.append((i, jc))
+            elif lhs != rhs:
                 return False
+        for a in rows:          # (a*i)*j against a*(i*j) = a*v
+            ra = t[a]
+            ai = ra[i]
+            if ai is None:
+                continue
+            rai = t[ai]
+            lhs, rhs = rai[j], ra[v]
+            if lhs is None:
+                if rhs is not None:
+                    rai[j] = rhs
+                    trail.append((ai, j))
+            elif rhs is None:
+                ra[v] = lhs
+                trail.append((a, v))
+            elif lhs != rhs:
+                return False
+        for a in rows:          # v as a looked-up product
+            ra = t[a]
+            for b in rows:
+                ab = ra[b]
+                if ab == i:     # (a*b)*j = v against a*(b*j)
+                    bj = t[b][j]
+                    if bj is not None:
+                        rhs = ra[bj]
+                        if rhs is None:
+                            ra[bj] = v
+                            trail.append((a, bj))
+                        elif rhs != v:
+                            return False
+                if ab == j:     # i*(a*b) = v against (i*a)*b
+                    ia = ri[a]
+                    if ia is not None:
+                        ria = t[ia]
+                        lhs = ria[b]
+                        if lhs is None:
+                            ria[b] = v
+                            trail.append((ia, b))
+                        elif lhs != v:
+                            return False
+        for p, q in ties.get((i, j), ()):
+            w = t[p][q]
+            if w is None:
+                t[p][q] = v
+                trail.append((p, q))
+            elif w != v:
+                return False
+        if v != left and left is not None:     # some z*j may still be e
+            for r in t:
+                if r[j] is None or r[j] == left:
+                    break
+            else:
+                return False
+        if v != inverse and inverse is not None:   # some z with z*y = y*z = e
+            for y in {i, j}:
+                ry = t[y]
+                for z in rows:
+                    if (t[z][y] is None or t[z][y] == inverse) \
+                            and (ry[z] is None or ry[z] == inverse):
+                        break
+                else:
+                    return False
     return True
 
 
-def _pin(t, n, reading, d: dict[str, int]) -> list | None:
-    """Place the cells the equations pin under designation `d` and return
-    the pairs of cells tied equal, or None if two pins disagree."""
-    cells, ties = [], []
+def _pin(t, n, reading, d: dict[str, int]) -> tuple | None:
+    """Place the cells the equations pin under designation `d`, or return
+    None if two pins disagree.  Otherwise return what `_propagate`
+    watches: a map from each tied cell to the cells tied to it, the e
+    that every column must still be able to hold ("left"), and the e
+    that every element needs a two-sided inverse for ("inverse"); either
+    e is None when the reading does not ask for it."""
+    cells, ties, left, inverse = [], {}, None, None
     for kind, names in reading:
         if kind == "pin":
             p, q, c = names
             cells.append((d[p], d[q], d[c]))
         elif kind == "tie":
             p, q, r, s = names
-            ties.append(((d[p], d[q]), (d[r], d[s])))
+            u, w = (d[p], d[q]), (d[r], d[s])
+            ties.setdefault(u, []).append(w)
+            ties.setdefault(w, []).append(u)
         elif kind == "row":
             e = d[names[0]]
             cells += [(e, k, k) for k in range(n)]
         elif kind == "col":
             e = d[names[0]]
             cells += [(k, e, k) for k in range(n)]
+        elif kind == "left":
+            left = d[names[0]]
+        else:
+            inverse = d[names[0]]
     for i, j, val in cells:
         if t[i][j] not in (None, val):
             return None
         t[i][j] = val
-    return ties
+    return ties, left, inverse
 
 
 def enumerate_models(q: ModelQuery, ceiling: int = SIZE_CEILING) -> list[Model]:
@@ -266,15 +332,18 @@ def enumerate_models(q: ModelQuery, ceiling: int = SIZE_CEILING) -> list[Model]:
     try:
         for d in _designations(system.roles, n):
             t: list[list[int | None]] = [[None] * n for _ in range(n)]
-            ties = _pin(t, n, reading, d)
-            if ties is not None and _propagate(t, n, [], ties):
-                _fill(t, n, 0, ties, emit, d)
+            watch = _pin(t, n, reading, d)
+            if watch is None:
+                continue
+            pinned = [(i, j) for i in range(n) for j in range(n) if t[i][j] is not None]
+            if _propagate(t, n, pinned, watch):
+                _fill(t, n, 0, watch, emit, d)
     except _Stop:
         pass
     return out
 
 
-def _fill(t, n, cell, ties, emit, designated):
+def _fill(t, n, cell, watch, emit, designated):
     while cell < n * n and t[cell // n][cell % n] is not None:
         cell += 1
     if cell == n * n:
@@ -284,8 +353,8 @@ def _fill(t, n, cell, ties, emit, designated):
     for val in range(n):
         trail = [(i, j)]
         t[i][j] = val
-        if _propagate(t, n, trail, ties):
-            _fill(t, n, cell + 1, ties, emit, designated)
+        if _propagate(t, n, trail, watch):
+            _fill(t, n, cell + 1, watch, emit, designated)
         for (a, b) in trail:
             t[a][b] = None
 
@@ -311,6 +380,8 @@ def format_model(m: Model) -> str:
     lines = [f"n={m.size}"]
     for row in m.table:
         lines.append(" ".join(str(v) for v in row))
-    parts = [f"{k}={m.designated[k]}" for k in _DESIGNATION_ORDER if k in m.designated]
+    roles = [k for k in _DESIGNATION_ORDER if k in m.designated]
+    rest = sorted(k for k in m.designated if k not in _DESIGNATION_ORDER)
+    parts = [f"{k}={m.designated[k]}" for k in roles + rest]
     lines.append("designated: " + " ".join(parts))
     return "\n".join(lines)

@@ -220,6 +220,12 @@ def test_models_count_and_listing(capsys):
     assert blocks[0] == "n=3\n0 1 1\n1 0 0\n1 0 0\ndesignated: x=0 y=1 z=2"
 
 
+def test_models_dgss_size_6_counts_z6_and_s3(capsys):
+    # 6!/|Aut Z6| + 6!/|Aut S3| = 720/2 + 720/6 labelled groups of order 6
+    rc, out, _ = run(capsys, "models", "--system", "dgss", "--size", "6", "--count-only")
+    assert (rc, out) == (0, "480\n")
+
+
 def test_models_empty_is_success(capsys):
     rc, out, _ = run(capsys, "models", "--system", "dit", "--size", "2")
     assert (rc, out) == (0, "")
@@ -273,6 +279,28 @@ def test_usage_errors_exit_1(argv, capsys):
 def test_system_choices_are_the_table_ids(cmd, capsys):
     with pytest.raises(SystemExit) as ei:
         main([cmd, "--system", "nosuch"])
+    assert ei.value.code == 1
+    err = capsys.readouterr().err
+    assert "--system {" + ",".join(SYSTEMS) + "}" in err
+    assert f"(choose from {', '.join(map(repr, tuple(SYSTEMS)))})" in err
+
+
+@pytest.mark.parametrize("given,system,equation", [
+    ("DGSS", "dgss", "a a' b = b"),
+    (" DiT ", "dit", "x y = y"),
+])
+@pytest.mark.parametrize("cmd", ["prove", "models"])
+def test_system_ids_ignore_case_and_blanks(cmd, given, system, equation, capsys):
+    args = [equation] if cmd == "prove" else ["--size", "3"]
+    expected = run(capsys, cmd, "--system", system, *args)
+    assert expected[0] == 0 and expected[1]
+    assert run(capsys, cmd, "--system", given, *args) == expected
+
+
+@pytest.mark.parametrize("cmd", ["prove", "models"])
+def test_unknown_system_in_capitals_is_still_a_usage_error(cmd, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main([cmd, "--system", "NOSUCH"])
     assert ei.value.code == 1
     err = capsys.readouterr().err
     assert "--system {" + ",".join(SYSTEMS) + "}" in err

@@ -3,13 +3,13 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from relcalc.engine import (AX6, AX9A, GROUND, LRXR, SYSTEMS, Rule, RuleSystem,
                             make_system)
-from relcalc.models import (Model, ModelQuery, Violation, _designations,
-                            check_model, count_models, enumerate_models,
-                            find_min_model, format_model)
+from relcalc.models import (Model, ModelQuery, Violation, _designations, _pin,
+                            _propagate, _read, check_model, count_models,
+                            enumerate_models, find_min_model, format_model)
 from relcalc.terms import parse_word
 
 Z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -106,6 +106,9 @@ FROZEN_COUNTS = {
     ("dgs", 1): 1, ("dgs", 2): 2, ("dgs", 3): 3, ("dgs", 4): 16,
     ("dgs+", 3): 3, ("dgs+", 4): 16,
     ("dgss", 1): 1, ("dgss", 2): 2, ("dgss", 3): 3, ("dgss", 4): 16,
+    # Z5 is the only group of order 5: 5!/|Aut Z5| = 120/4 labelled copies
+    ("dgs", 5): 30, ("dgs+", 5): 30, ("dgss", 5): 30,
+    ("dit+", 5): 5400, ("dits", 5): 5400,
 }
 
 
@@ -189,6 +192,12 @@ def test_format_model_golden():
     assert format_model(m) == "n=3\n0 1 2\n1 2 0\n2 0 1\ndesignated: x=0 y=1 z=2"
     e = Model(1, ((0,),), {"e": 0})
     assert format_model(e) == "n=1\n0\ndesignated: e=0"
+
+
+def test_format_model_prints_keys_that_are_not_roles():
+    assert format_model(Model(1, ((0,),), {"w": 0})) == "n=1\n0\ndesignated: w=0"
+    m = Model(3, Z3, {"q": 2, "z": 0, "p": 1, "x": 1})
+    assert format_model(m).endswith("designated: x=1 z=0 p=1 q=2")
 
 
 # ---------------------------------------------------------------------------
@@ -326,3 +335,293 @@ def test_rules_that_are_not_table_equations_are_rejected(system):
         check_model(Model(1, ((0,),), {"x": 0, "y": 0, "e": 0}), system)
     with pytest.raises(ValueError):
         enumerate_models(ModelQuery(system, 2))
+
+
+# ---------------------------------------------------------------------------
+# propagation from a queue, against the full rescan it replaced
+
+
+def _reference_propagate(t, n, trail, ties) -> bool:
+    """_propagate as it was: rescan every associativity triple and every
+    tie until nothing changes."""
+
+    def put(i, j, val):
+        cur = t[i][j]
+        if cur is not None:
+            return cur == val
+        t[i][j] = val
+        trail.append((i, j))
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            ra = t[a]
+            for b in range(n):
+                ab = ra[b]
+                for c in range(n):
+                    bc = t[b][c]
+                    left = t[ab][c] if ab is not None else None
+                    right = ra[bc] if bc is not None else None
+                    if left is not None and right is not None:
+                        if left != right:
+                            return False
+                    elif left is not None and bc is not None:
+                        if not put(a, bc, left):
+                            return False
+                        changed = True
+                    elif right is not None and ab is not None:
+                        if not put(ab, c, right):
+                            return False
+                        changed = True
+        for (i1, j1), (i2, j2) in ties:
+            u, w = t[i1][j1], t[i2][j2]
+            if u is not None and w is None:
+                put(i2, j2, u)
+                changed = True
+            elif w is not None and u is None:
+                put(i1, j1, w)
+                changed = True
+            elif u != w:
+                return False
+    return True
+
+
+def _reference_pin(t, n, reading, d):
+    """_pin as it was: place the pinned cells, return the tied pairs."""
+    cells, ties = [], []
+    for kind, names in reading:
+        if kind == "pin":
+            p, q, c = names
+            cells.append((d[p], d[q], d[c]))
+        elif kind == "tie":
+            p, q, r, s = names
+            ties.append(((d[p], d[q]), (d[r], d[s])))
+        elif kind == "row":
+            e = d[names[0]]
+            cells += [(e, k, k) for k in range(n)]
+        elif kind == "col":
+            e = d[names[0]]
+            cells += [(k, e, k) for k in range(n)]
+    for i, j, val in cells:
+        if t[i][j] not in (None, val):
+            return None
+        t[i][j] = val
+    return ties
+
+
+def _reference_enumerate(system, n) -> list[Model]:
+    """enumerate_models as it was: full rescans, every existential
+    obligation left to the leaf check."""
+    system = make_system(system)
+    reading, out = _read(system), []
+
+    def fill(t, cell, ties, d):
+        while cell < n * n and t[cell // n][cell % n] is not None:
+            cell += 1
+        if cell == n * n:
+            m = Model(n, tuple(tuple(row) for row in t), dict(d))
+            if not check_model(m, system):
+                out.append(m)
+            return
+        i, j = cell // n, cell % n
+        for val in range(n):
+            trail = [(i, j)]
+            t[i][j] = val
+            if _reference_propagate(t, n, trail, ties):
+                fill(t, cell + 1, ties, d)
+            for a, b in trail:
+                t[a][b] = None
+
+    for d in _designations(system.roles, n):
+        t = [[None] * n for _ in range(n)]
+        ties = _reference_pin(t, n, reading, d)
+        if ties is not None and _reference_propagate(t, n, [], ties):
+            fill(t, 0, ties, d)
+    return out
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_enumeration_matches_the_full_rescan(system):
+    for n in range(1, 5):
+        assert [m.key() for m in enumerate_models(ModelQuery(system, n))] == \
+            [m.key() for m in _reference_enumerate(system, n)]
+
+
+def _stranded(t, n, reading, d) -> bool:
+    """Whether some element can no longer get the inverse the reading
+    asks for, whatever the empty cells of `t` become."""
+    for kind, names in reading:
+        e = d[names[0]]
+        for y in range(n):
+            if kind == "left" and all(t[z][y] not in (None, e) for z in range(n)):
+                return True
+            if kind == "inverse" and all(t[z][y] not in (None, e) or t[y][z] not in (None, e)
+                                         for z in range(n)):
+                return True
+    return False
+
+
+@st.composite
+def _partial_tables(draw):
+    """A system, a designation of its roles, a full table of size 2-5 and
+    the same table with some cells emptied.  The full table is a cyclic
+    group, or a semigroup whose rows other than the identity row are
+    constant (no inverses), both with the designated first role as
+    identity, or a random table, and then has up to two cells changed."""
+    system = draw(st.sampled_from(sorted(SYSTEMS)))
+    roles = SYSTEMS[system].roles
+    n = draw(st.integers(max(2, len(roles)), 5))
+    d = dict(zip(roles, draw(st.permutations(range(n)))))
+    e = d[roles[0]]
+    base = draw(st.sampled_from(["cyclic", "constant", "random"]))
+    if base == "cyclic":
+        rows = [[(a + b - e) % n for b in range(n)] for a in range(n)]
+    elif base == "constant":
+        c = draw(st.integers(0, n - 1))
+        rows = [list(range(n)) if a == e else [c] * n for a in range(n)]
+    else:
+        rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = \
+            draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        keep = set(draw(st.lists(st.integers(0, n * n - 1), max_size=n * n)))
+    else:
+        keep = {k for k, b in enumerate(draw(st.lists(st.booleans(), min_size=n * n,
+                                                      max_size=n * n))) if b}
+    t = [[v if a * n + b in keep else None for b, v in enumerate(row)]
+         for a, row in enumerate(rows)]
+    return system, d, rows, t
+
+
+def _closures_agree(ref, new, trail, ties, watch, reading, d) -> bool:
+    """Propagate `new` from the queue `trail` and `ref` by full rescans,
+    from the same table: both close it to the same table, with every
+    cell filled on the way pushed on `trail`, or `new` reports a
+    contradiction exactly when `ref` does or leaves an element without
+    its inverse.  Returns whether the closure succeeded."""
+    n = len(ref)
+    def filled():
+        return [(i, j) for i in range(n) for j in range(n) if new[i][j] is not None]
+    before = [c for c in filled() if c not in trail]
+    ok = _propagate(new, n, trail, watch)
+    if _reference_propagate(ref, n, [], ties) and not _stranded(ref, n, reading, d):
+        assert ok and new == ref
+        assert sorted(before + trail) == filled()
+        return True
+    assert not ok
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(_partial_tables(), st.data())
+def test_queue_closure_matches_the_full_rescan(case, data):
+    """From scratch, with every filled cell queued, and then as the
+    enumerator uses it: cells placed one at a time on a closed table,
+    each queued alone, with the full table's value or any other."""
+    system, d, rows, t = case
+    n, reading = len(t), _read(SYSTEMS[system])
+    ref, new = [row[:] for row in t], [row[:] for row in t]
+    ties, watch = _reference_pin(ref, n, reading, d), _pin(new, n, reading, d)
+    assert (ties is None) == (watch is None)
+    if watch is None:
+        return
+    assert new == ref
+    trail = [(i, j) for i in range(n) for j in range(n) if new[i][j] is not None]
+    while _closures_agree(ref, new, trail, ties, watch, reading, d):
+        empty = [(i, j) for i in range(n) for j in range(n) if new[i][j] is None]
+        if not empty:
+            break
+        i, j = data.draw(st.sampled_from(empty))
+        ref[i][j] = new[i][j] = rows[i][j] if data.draw(st.booleans()) \
+            else data.draw(st.integers(0, n - 1))
+        trail = [(i, j)]
+
+
+@pytest.mark.parametrize("t,placed", [
+    # row 2 loses its last e-or-empty cell facing an empty cell of column 2
+    ([[0, 1, 2], [1, None, None], [2, None, 2]], (2, 1, 1)),
+    # column 3 does, facing an empty cell of row 3
+    ([[0, 1, 2, 3], [1, None, None, None], [2, None, None, None], [3, 3, None, 3]],
+     (2, 3, 3)),
+])
+def test_a_placement_that_strands_an_inverse_fails_at_once(t, placed):
+    n, reading, d = len(t), _read(SYSTEMS["dgss"]), {"e": 0}
+    watch = _pin(t, n, reading, d)
+    closed = [row[:] for row in t]
+    assert _propagate(t, n, [(i, j) for i in range(n) for j in range(n)
+                             if t[i][j] is not None], watch)
+    assert t == closed
+    i, j, v = placed
+    t[i][j] = closed[i][j] = v
+    assert _reference_propagate(closed, n, [], []) and _stranded(closed, n, reading, d)
+    assert not _propagate(t, n, [(i, j)], watch)
+
+
+# ---------------------------------------------------------------------------
+# the distinctness family counted without the enumerator
+
+
+def _naive_semigroups(n):
+    """Every associative table on 0..n-1 in lexicographic order: cells
+    filled row-major, each associativity instance checked once all four
+    of its products are known, nothing forced."""
+    t = [[None] * n for _ in range(n)]
+    out = []
+
+    def associative_so_far():
+        for ra in t:
+            for b in range(n):
+                ab, rb = ra[b], t[b]
+                if ab is None:
+                    continue
+                for c in range(n):
+                    bc = rb[c]
+                    if bc is None:
+                        continue
+                    left, right = t[ab][c], ra[bc]
+                    if left is not None and right is not None and left != right:
+                        return False
+        return True
+
+    def fill(cell):
+        if cell == n * n:
+            out.append(tuple(map(tuple, t)))
+            return
+        i, j = divmod(cell, n)
+        for v in range(n):
+            t[i][j] = v
+            if associative_so_far():
+                fill(cell + 1)
+        t[i][j] = None
+
+    fill(0)
+    return out
+
+
+def _dit_family_axioms(system, t, x, y, z) -> bool:
+    """The ground axioms of the distinctness family, written out."""
+    ok = t[x][y] == y and t[z][y] == x
+    if system in ("dit+", "dits"):
+        ok = ok and t[z][x] == z
+    if system == "dits":
+        ok = ok and t[y][z] == t[z][y]
+    return ok
+
+
+@pytest.mark.parametrize("n,semigroups,counts", [
+    (3, 113, {"dit": 12, "dit+": 6, "dits": 6}),
+    (4, 3492, {"dit": 408, "dit+": 144, "dits": 144}),
+])
+def test_dit_family_matches_a_naive_semigroup_filter(n, semigroups, counts):
+    tables = _naive_semigroups(n)
+    assert len(tables) == semigroups
+    for system, count in counts.items():
+        naive = [(n, t, (("x", x), ("y", y), ("z", z)))
+                 for x, y, z in itertools.permutations(range(n), 3)
+                 for t in tables if _dit_family_axioms(system, t, x, y, z)]
+        assert len(naive) == count
+        assert [m.key() for m in enumerate_models(ModelQuery(system, n))] == naive
