@@ -27,12 +27,25 @@ left that is empty or e, under `left_inverses`, and an element y with
 no z left whose z*y and y*z are both empty or e, under inverse-cancel.
 Pruning only cuts subtrees without models; `check_model` still judges
 every complete table before it is emitted.
+
+Only the first designation, roles -> 0..k-1, is searched; every later
+one gets its models by relabelling.  `_read` admits only equations on
+the roles, so a permutation pi of the carrier that sends the first
+designation to designation v (pi = v followed by the other elements in
+ascending order) preserves pins, ties, identity rows and columns, left
+and two-sided inverses and associativity: T is a model under the first
+designation exactly when T'[a][b] = pi[T[pi^-1 a][pi^-1 b]] is one
+under v, and pi is a bijection on tables.  Each designation's
+relabelled tables are sorted, which keeps the order designation-major,
+then table-lexicographic, and `check_model` still judges every one of
+them before it is emitted.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 from .engine import GROUND, IDENTITY_ELIM, SYSTEMS, RuleSystem, _as_system
 
@@ -47,8 +60,8 @@ class Model:
 
     def __post_init__(self):
         n = self.size
-        if n < 1:
-            raise ValueError("model size must be at least 1")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"model size must be an int of at least 1, got {n!r}")
         rows = tuple(tuple(row) for row in self.table)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"malformed table: expected {n}x{n}")
@@ -85,6 +98,13 @@ class ModelQuery:
     system: str | RuleSystem
     size: int
     limit: int | None = None
+
+    def __post_init__(self):
+        # type, not isinstance: True would otherwise pass as 1, and 1.5 as a limit
+        if type(self.size) is not int:
+            raise ValueError(f"size must be an int, got {self.size!r}")
+        if self.limit is not None and type(self.limit) is not int:
+            raise ValueError(f"limit must be an int, got {self.limit!r}")
 
 
 def _read(system: RuleSystem) -> list[tuple[str, tuple[str, ...]]]:
@@ -165,10 +185,6 @@ def check_model(m: Model, system, *, _reading=None) -> list[Violation]:
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-class _Stop(Exception):
-    pass
 
 
 def _designations(roles: tuple[str, ...], n: int):
@@ -308,59 +324,76 @@ def _pin(t, n, reading, d: dict[str, int]) -> tuple | None:
     return ties, left, inverse
 
 
-def enumerate_models(q: ModelQuery, ceiling: int = SIZE_CEILING) -> list[Model]:
-    """All models of the queried system and size, in designation-major,
-    table-lexicographic order.  `limit`, when given, must be at least 1
-    and keeps only the first `limit` models."""
+def _models(q: ModelQuery, ceiling: int) -> Iterator[Model]:
+    """Validate `q` and return a generator of its models in emission order."""
     system = _as_system(q.system)
     n = q.size
     if not 1 <= n <= ceiling:
         raise ValueError(f"size {n} outside 1..{ceiling}")
     if q.limit is not None and q.limit < 1:
         raise ValueError(f"limit must be at least 1, got {q.limit}")
-    reading = _read(system)
-    out: list[Model] = []
-
-    def emit(table, designated):
-        m = Model(n, tuple(tuple(row) for row in table), dict(designated))
-        if check_model(m, system, _reading=reading):  # propagation never replaces the final check
-            return
-        out.append(m)
-        if q.limit is not None and len(out) >= q.limit:
-            raise _Stop
-
-    try:
-        for d in _designations(system.roles, n):
-            t: list[list[int | None]] = [[None] * n for _ in range(n)]
-            watch = _pin(t, n, reading, d)
-            if watch is None:
-                continue
-            pinned = [(i, j) for i in range(n) for j in range(n) if t[i][j] is not None]
-            if _propagate(t, n, pinned, watch):
-                _fill(t, n, 0, watch, emit, d)
-    except _Stop:
-        pass
-    return out
+    return _search(system, n, _read(system))
 
 
-def _fill(t, n, cell, watch, emit, designated):
+def _search(system: RuleSystem, n: int, reading) -> Iterator[Model]:
+    """Search the first designation, then relabel its models for each
+    later one (see the module docstring); yield every table that
+    `check_model` passes."""
+    designations = _designations(system.roles, n)
+    first = next(designations, None)
+    if first is None:
+        return
+    t: list[list[int | None]] = [[None] * n for _ in range(n)]
+    watch = _pin(t, n, reading, first)
+    if watch is None or not _propagate(t, n, [(i, j) for i in range(n) for j in range(n)
+                                             if t[i][j] is not None], watch):
+        return
+    tables = []
+    for table in _fill(t, n, 0, watch):
+        m = Model(n, table, dict(first))
+        if not check_model(m, system, _reading=reading):  # propagation never replaces the final check
+            tables.append(table)
+            yield m
+    for d in designations:
+        values = tuple(d.values())
+        pi = values + tuple(a for a in range(n) if a not in values)
+        inv = sorted(range(n), key=pi.__getitem__)
+        for table in sorted(tuple(tuple([pi[tab[a][b]] for b in inv]) for a in inv)
+                            for tab in tables):
+            m = Model(n, table, dict(d))
+            if not check_model(m, system, _reading=reading):
+                yield m
+
+
+def _fill(t, n, cell, watch) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every completion of `t` that propagation admits, as tuples, in
+    table-lexicographic order; lazily, so a `limit` stops the search."""
     while cell < n * n and t[cell // n][cell % n] is not None:
         cell += 1
     if cell == n * n:
-        emit(t, designated)
+        yield tuple(map(tuple, t))
         return
     i, j = cell // n, cell % n
     for val in range(n):
         trail = [(i, j)]
         t[i][j] = val
         if _propagate(t, n, trail, watch):
-            _fill(t, n, cell + 1, watch, emit, designated)
+            yield from _fill(t, n, cell + 1, watch)
         for (a, b) in trail:
             t[a][b] = None
 
 
-def count_models(system, n: int, ceiling: int = SIZE_CEILING) -> int:
-    return len(enumerate_models(ModelQuery(system, n), ceiling))
+def enumerate_models(q: ModelQuery, ceiling: int = SIZE_CEILING) -> list[Model]:
+    """All models of the queried system and size, in designation-major,
+    table-lexicographic order.  `limit`, when given, must be at least 1
+    and keeps only the first `limit` models."""
+    return list(islice(_models(q, ceiling), q.limit))
+
+
+def count_models(system, n: int, ceiling: int = SIZE_CEILING, *, limit: int | None = None) -> int:
+    """How many models `enumerate_models` would return, counted as they
+    are generated and checked, without keeping them."""
+    return sum(1 for _ in islice(_models(ModelQuery(system, n, limit), ceiling), limit))
 
 
 def find_min_model(system, n_max: int) -> tuple[int, Model] | None:

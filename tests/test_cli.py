@@ -211,6 +211,10 @@ def test_models_count_and_listing(capsys):
     rc, out, _ = run(capsys, "models", "--system", "dgss",
                      "--size", "2", "--count-only")
     assert (rc, out) == (0, "2\n")
+    for limit, count in (("5", "5\n"), ("13", "12\n")):  # dit has 12 models of size 3
+        rc, out, _ = run(capsys, "models", "--system", "dit", "--size", "3",
+                         "--count-only", "--limit", limit)
+        assert (rc, out) == (0, count)
 
     rc, out, _ = run(capsys, "models", "--system", "dit",
                      "--size", "3", "--limit", "2")

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relcalc import models
 from relcalc.engine import (AX6, AX9A, GROUND, LRXR, SYSTEMS, Rule, RuleSystem,
                             make_system)
-from relcalc.models import (Model, ModelQuery, Violation, _designations, _pin,
+from relcalc.models import (Model, ModelQuery, Violation, _designations, _fill, _pin,
                             _propagate, _read, check_model, count_models,
                             enumerate_models, find_min_model, format_model)
 from relcalc.terms import parse_word
@@ -32,6 +34,10 @@ def test_model_validation():
         Model(2, ((0, 1), (1, 0)), {"e": False})
     with pytest.raises(ValueError):              # would index the table later
         Model(2, ((0, 1), (1, 0)), {"e": 0.0})
+    with pytest.raises(ValueError):
+        Model(True, ((0,),), {"e": 0})
+    with pytest.raises(ValueError):
+        Model(2.0, ((0, 1), (1, 0)), {"e": 0})
 
 
 def test_model_normalizes_and_applies():
@@ -154,8 +160,38 @@ def test_limit_below_one_rejected(limit):
         enumerate_models(ModelQuery("dit", 3, limit=limit))
 
 
+@pytest.mark.parametrize("size,limit", [(True, None), (2.0, None), ("2", None),
+                                        (2, True), (2, 1.5), (2, 2.0)])
+def test_query_takes_only_int_sizes_and_limits(size, limit):
+    with pytest.raises(ValueError, match="must be an int"):
+        ModelQuery("dgss", size, limit)
+    with pytest.raises(ValueError, match="must be an int"):
+        count_models("dgss", size, limit=limit)
+
+
+def test_count_models_honours_limit():
+    assert count_models("dit", 3) == 12
+    assert [count_models("dit", 3, limit=k) for k in (1, 5, 12, 13)] == [1, 5, 12, 12]
+    with pytest.raises(ValueError, match="limit must be at least 1"):
+        count_models("dit", 3, limit=0)
+
+
+def test_counting_keeps_no_model_list():
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # 5,400 models over 60 designations; the first one's 90 are kept
+    counted = peak(lambda: count_models("dit+", 5))
+    listed = peak(lambda: len(enumerate_models(ModelQuery("dit+", 5))))
+    assert counted < listed / 4
+
+
 def test_query_has_no_count_only_field():
-    # counting is len() of the enumeration; the query carries no such mode
+    # counting is count_models; the query carries no such mode
     with pytest.raises(TypeError):
         ModelQuery("dgss", 2, count_only=True)
 
@@ -447,6 +483,72 @@ def test_enumeration_matches_the_full_rescan(system):
     for n in range(1, 5):
         assert [m.key() for m in enumerate_models(ModelQuery(system, n))] == \
             [m.key() for m in _reference_enumerate(system, n)]
+
+
+# ---------------------------------------------------------------------------
+# relabelling the first designation's models, against a search of every
+# designation
+
+
+def _search_every_designation(system, n) -> list[Model]:
+    """enumerate_models before relabelling: _pin, _propagate and _fill
+    for every designation, and every complete table checked."""
+    system = make_system(system) if isinstance(system, str) else system
+    reading, out = _read(system), []
+    for d in _designations(system.roles, n):
+        t = [[None] * n for _ in range(n)]
+        watch = _pin(t, n, reading, d)
+        if watch is not None and _propagate(t, n, [(i, j) for i in range(n) for j in range(n)
+                                                   if t[i][j] is not None], watch):
+            out += [m for m in (Model(n, table, dict(d)) for table in _fill(t, n, 0, watch))
+                    if not check_model(m, system)]
+    return out
+
+
+# test_enumeration_matches_the_full_rescan searches every designation too,
+# for the six systems at n <= 4
+@pytest.mark.parametrize("system,sizes", [
+    *((s, (5,)) for s in ("dgs", "dgs+", "dgss", "dit+", "dits")),
+    (RuleSystem("XY", (AX6,), ("x", "y")), (1, 2, 3)),
+    # roles out of alphabetical order: designations follow the roles tuple
+    (RuleSystem("ZXY", SYSTEMS["dits"].rules, ("z", "x", "y")), (3, 4)),
+], ids=lambda v: v.name if isinstance(v, RuleSystem) else str(v))
+def test_relabelling_matches_a_search_of_every_designation(system, sizes):
+    for n in sizes:
+        expected = [m.key() for m in _search_every_designation(system, n)]
+        assert [m.key() for m in enumerate_models(ModelQuery(system, n))] == expected
+
+
+@pytest.mark.parametrize("system", ["dit", "dgs"])
+def test_a_limit_just_past_the_first_designation_is_a_prefix(system):
+    full = enumerate_models(ModelQuery(system, 4))
+    first = sum(m.designated == full[0].designated for m in full)
+    cut = enumerate_models(ModelQuery(system, 4, limit=first + 1))
+    assert [m.key() for m in cut] == [m.key() for m in full[:first + 1]]
+    assert cut[-1].designated != cut[0].designated
+
+
+def _record_calls(monkeypatch, name) -> list[tuple]:
+    calls, original = [], getattr(models, name)
+    monkeypatch.setattr(models, name, lambda *a, **kw: calls.append(a) or original(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("system", ["dit", "dgs"])
+def test_every_emitted_model_is_checked(monkeypatch, system):
+    checked = _record_calls(monkeypatch, "check_model")
+    found = enumerate_models(ModelQuery(system, 4))
+    assert [m.key() for m, _ in checked] == [m.key() for m in found]
+
+
+def test_a_limit_stops_the_search(monkeypatch):
+    placed = _record_calls(monkeypatch, "_propagate")
+    checked = _record_calls(monkeypatch, "check_model")
+    (m,) = enumerate_models(ModelQuery("dit+", 5, limit=1))
+    assert [a[0] for a in checked] == [m]
+    first = len(placed)
+    count_models("dit+", 5)
+    assert 10 * first < len(placed) - first
 
 
 def _stranded(t, n, reading, d) -> bool:
