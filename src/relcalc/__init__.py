@@ -14,7 +14,7 @@ from .engine import (CheckResult, NotFound, Proof, ProofStep, Rule,
                      prove_equal, reverse_proof)
 from .freegroup import equal_dgss, free_reduce, invert, is_reduced, verify_dgss_lemmas
 from .models import (Model, ModelQuery, Violation, check_model, count_models,
-                     enumerate_models, find_min_model, format_model)
+                     enumerate_models, find_min_model, format_model, iter_models)
 from .peano import (Numeral, eval_zero, numeral, succ, verify_peano,
                     zero_contradiction_demo)
 from .relsets import (UNDECIDED, RelSet, is_function_rel, is_member,
@@ -33,8 +33,8 @@ __all__ = [
     "prove_equal", "reverse_proof", "CheckResult", "check_proof",
     "proof_to_dict", "proof_to_json", "proof_from_dict", "check_proof_data",
     "free_reduce", "invert", "is_reduced", "equal_dgss", "verify_dgss_lemmas",
-    "Model", "ModelQuery", "Violation", "check_model", "enumerate_models",
-    "count_models", "find_min_model", "format_model",
+    "Model", "ModelQuery", "Violation", "check_model", "iter_models",
+    "enumerate_models", "count_models", "find_min_model", "format_model",
     "RelSet", "UNDECIDED", "is_member", "is_subset", "subset_report",
     "is_function_rel", "russell_report",
     "Numeral", "numeral", "succ", "eval_zero", "verify_peano",

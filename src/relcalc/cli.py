@@ -14,7 +14,7 @@ import sys
 
 from .engine import (SYSTEMS, NotFound, SearchConfig, check_proof_data,
                      proof_to_json, prove_equal, system_id)
-from .models import SIZE_CEILING, ModelQuery, count_models, enumerate_models, format_model
+from .models import SIZE_CEILING, ModelQuery, format_model, iter_models
 from .peano import as_numeral, eval_zero, verify_peano, zero_contradiction_demo
 from .suites import SUITE_IDS, run_suite
 from .terms import ParseError, parse_equation, parse_word, print_word
@@ -130,10 +130,11 @@ def _cmd_models(args) -> int:
     if not 1 <= args.size <= SIZE_CEILING:
         print(f"size must be within 1..{SIZE_CEILING}", file=sys.stderr)
         return 1
+    found = iter_models(ModelQuery(args.system, args.size, limit=args.limit))
     if args.count_only:
-        print(count_models(args.system, args.size, limit=args.limit))
+        print(sum(1 for _ in found))
         return 0
-    for i, m in enumerate(enumerate_models(ModelQuery(args.system, args.size, limit=args.limit))):
+    for i, m in enumerate(found):
         if i:
             print()
         print(format_model(m))

@@ -485,15 +485,14 @@ class _Budget(Exception):
     pass
 
 
-def _validate_problem(system: RuleSystem, words, config: SearchConfig):
+def _validate_problem(system: RuleSystem, words, max_len: int | None):
     for w in words:
         if not system.allows_inverses and any(a.inverted for a in w):
             raise ValueError(
                 f"inverse marks in {print_word(w)!r} need a system with the "
                 f"inverse-cancel rule, not {system.name}")
-        if len(w) > config.max_word_len:
-            raise ValueError(
-                f"word {print_word(w)!r} is longer than max_word_len={config.max_word_len}")
+        if max_len is not None and len(w) > max_len:
+            raise ValueError(f"word {print_word(w)!r} is longer than max_word_len={max_len}")
 
 
 def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
@@ -508,7 +507,8 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
     config = config or SearchConfig()
     hypotheses = tuple(hypotheses)
     lhs, rhs = goal
-    _validate_problem(system, [lhs, rhs] + [w for h in hypotheses for w in h], config)
+    _validate_problem(system, [lhs, rhs] + [w for h in hypotheses for w in h],
+                      config.max_word_len)
 
     if lhs == rhs:
         return Proof(system.name, hypotheses, goal, ())
@@ -567,7 +567,7 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
                 b_frontier, meet = grow(b_frontier, bwd, fwd)
                 b_depth += 1
             if meet is not None:
-                steps = _stitch(core, meet, fwd, bwd)
+                steps = _stitch(core, meet, fwd, bwd, rt)
                 return Proof(system.name, hypotheses, goal, steps, nodes_expanded=nodes)
             if not system.allows_inverses and (not f_frontier or not b_frontier):
                 return NotFound(nodes, None)
@@ -585,11 +585,10 @@ def _walk(seen, w) -> list[tuple]:
     return edges
 
 
-def _stitch(core: _Core, meet, fwd, bwd) -> tuple[ProofStep, ...]:
-    steps = list(core.steps(hit for _, hit in _walk(fwd, meet)))
-    for parent, (_, rid, d, pos) in reversed(_walk(bwd, meet)):
-        steps.append(ProofStep(rid, RL if d == LR else LR, pos, core.decode(parent)))
-    return tuple(steps)
+def _stitch(core: _Core, meet, fwd, bwd, rt) -> tuple[ProofStep, ...]:
+    # the backward side's chain runs from rt out to meet; the proof runs it back
+    back = _invert_chain(core.decode(rt), core.steps(hit for _, hit in _walk(bwd, meet)))
+    return core.steps(hit for _, hit in _walk(fwd, meet)) + tuple(back)
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +619,7 @@ def check_proof(p: Proof) -> CheckResult:
         return CheckResult(False, None, str(e))
     try:
         _validate_problem(system, [p.goal[0], p.goal[1]]
-                          + [w for h in p.hypotheses for w in h],
-                          SearchConfig(max_word_len=10 ** 9))
+                          + [w for h in p.hypotheses for w in h], None)
     except ValueError as e:
         return CheckResult(False, None, str(e))
     rules = system.rule_map()

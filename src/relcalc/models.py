@@ -93,7 +93,7 @@ class Violation:
         return f"{self.kind} at {self.where}: {self.detail}"
 
 
-@dataclass
+@dataclass(frozen=True)  # checked once, at construction
 class ModelQuery:
     system: str | RuleSystem
     size: int
@@ -105,6 +105,10 @@ class ModelQuery:
             raise ValueError(f"size must be an int, got {self.size!r}")
         if self.limit is not None and type(self.limit) is not int:
             raise ValueError(f"limit must be an int, got {self.limit!r}")
+        if not 1 <= self.size <= SIZE_CEILING:
+            raise ValueError(f"size {self.size} outside 1..{SIZE_CEILING}")
+        if self.limit is not None and self.limit < 1:
+            raise ValueError(f"limit must be at least 1, got {self.limit}")
 
 
 def _read(system: RuleSystem) -> list[tuple[str, tuple[str, ...]]]:
@@ -324,15 +328,12 @@ def _pin(t, n, reading, d: dict[str, int]) -> tuple | None:
     return ties, left, inverse
 
 
-def _models(q: ModelQuery, ceiling: int) -> Iterator[Model]:
-    """Validate `q` and return a generator of its models in emission order."""
+def iter_models(q: ModelQuery) -> Iterator[Model]:
+    """The models of `q`, lazily, in designation-major, table-lexicographic
+    order, and at most `limit` of them; the one source of models.  Not a
+    generator function, so an unknown system raises at the call."""
     system = _as_system(q.system)
-    n = q.size
-    if not 1 <= n <= ceiling:
-        raise ValueError(f"size {n} outside 1..{ceiling}")
-    if q.limit is not None and q.limit < 1:
-        raise ValueError(f"limit must be at least 1, got {q.limit}")
-    return _search(system, n, _read(system))
+    return islice(_search(system, q.size, _read(system)), q.limit)
 
 
 def _search(system: RuleSystem, n: int, reading) -> Iterator[Model]:
@@ -383,26 +384,24 @@ def _fill(t, n, cell, watch) -> Iterator[tuple[tuple[int, ...], ...]]:
             t[a][b] = None
 
 
-def enumerate_models(q: ModelQuery, ceiling: int = SIZE_CEILING) -> list[Model]:
-    """All models of the queried system and size, in designation-major,
-    table-lexicographic order.  `limit`, when given, must be at least 1
-    and keeps only the first `limit` models."""
-    return list(islice(_models(q, ceiling), q.limit))
+def enumerate_models(q: ModelQuery) -> list[Model]:
+    """`iter_models(q)` as a list."""
+    return list(iter_models(q))
 
 
-def count_models(system, n: int, ceiling: int = SIZE_CEILING, *, limit: int | None = None) -> int:
+def count_models(system, n: int) -> int:
     """How many models `enumerate_models` would return, counted as they
     are generated and checked, without keeping them."""
-    return sum(1 for _ in islice(_models(ModelQuery(system, n, limit), ceiling), limit))
+    return sum(1 for _ in iter_models(ModelQuery(system, n)))
 
 
 def find_min_model(system, n_max: int) -> tuple[int, Model] | None:
     """The smallest size admitting a model, with the first model in
     enumeration order, or None up to n_max."""
     for n in range(1, n_max + 1):
-        found = enumerate_models(ModelQuery(system, n, limit=1))
-        if found:
-            return n, found[0]
+        m = next(iter_models(ModelQuery(system, n, limit=1)), None)
+        if m is not None:
+            return n, m
     return None
 
 

@@ -1,18 +1,19 @@
 """Relational sets: a quality atom q names the collection of x with
 q x = x.  Membership, subset and the function criterion are evaluated
-either symbolically (bounded proof search) or inside a finite model.
+either symbolically or inside a finite model.
 
 Atoms map into a model carrier through the designation table or, for
-digit names like `0`/`2`, directly as indices.  Symbolic questions can
-come back UNDECIDED: a bounded search that finds nothing is not a
-refutation, so only model universes produce definite False answers.
+digit names like `0`/`2`, directly as indices.  Symbolic membership is
+exact under dgss (free reduction); under the other systems a bounded
+search that finds nothing is not a refutation, so it answers UNDECIDED.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Proof, SearchConfig, prove_equal
+from .engine import SYSTEMS, Proof, SearchConfig, _as_system, prove_equal
+from .freegroup import equal_dgss
 from .models import Model
 from .terms import Atom, Word
 
@@ -72,14 +73,16 @@ def eval_word(w: Word, m: Model) -> int:
 
 def is_member(q: Atom, x: Word, universe="symbolic", system: str = "dgss",
               config: SearchConfig | None = None):
-    """Whether x satisfies q x = x.  Model universe: table lookup,
-    definite bool.  Symbolic: bounded proof search, True or UNDECIDED
-    (absence of a bounded proof refutes nothing)."""
+    """Whether x satisfies q x = x: a definite bool from a model's table
+    or, symbolically under dgss, from free reduction; otherwise a bounded
+    proof search gives True or UNDECIDED (absence of a proof refutes nothing)."""
     if isinstance(universe, Model):
         qe = element_of(q, universe)
         xe = eval_word(x, universe)
         return universe.apply(qe, xe) == xe
     goal = (Word((q,) + x.atoms), x)
+    if _as_system(system) is SYSTEMS["dgss"]:
+        return equal_dgss(*goal)
     res = prove_equal(goal, system, (), config)
     return True if isinstance(res, Proof) else UNDECIDED
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import peano as peano_mod
-from .engine import (NotFound, Proof, SearchConfig, apply_rule, check_proof,
-                     hypothesis_rules, prove_equal)
+from .engine import (NotFound, Proof, apply_rule, check_proof, hypothesis_rules,
+                     prove_equal)
 from .freegroup import verify_dgss_lemmas
 from .terms import Word, parse_equation, print_word
 
@@ -53,11 +53,10 @@ class SuiteReport:
         return out
 
 
-def _prove_case(case_id: str, system: str, hyp_texts, goal_text: str,
-                config: SearchConfig | None) -> SuiteCase:
+def _prove_case(case_id: str, system: str, hyp_texts, goal_text: str) -> SuiteCase:
     hyps = tuple(parse_equation(t) for t in hyp_texts)
     goal = parse_equation(goal_text)
-    res = prove_equal(goal, system, hyps, config)
+    res = prove_equal(goal, system, hyps)
     stmt = goal_text if not hyp_texts else f"{', '.join(hyp_texts)} |- {goal_text}"
     if isinstance(res, NotFound):
         why = res.bound_hit or "exhausted"
@@ -120,20 +119,19 @@ def _progression_notes(seed_case: SuiteCase, rounds: int = 4) -> list[str]:
     return out
 
 
-def run_suite(suite_id: str, config: SearchConfig | None = None,
-              samples: int = 10_000, seed: int = 42) -> SuiteReport:
+def run_suite(suite_id: str, samples: int = 10_000, seed: int = 42) -> SuiteReport:
     sid = suite_id.strip().lower()
     if sid == "er":
-        cases = [_prove_case(c, "dit+", h, g, config) for c, h, g in _er_cases()]
+        cases = [_prove_case(c, "dit+", h, g) for c, h, g in _er_cases()]
         return SuiteReport("er", cases)
     if sid == "pr01":
-        cases = [_prove_case(c, "dit+", h, g, config) for c, h, g in _pr01_cases()]
+        cases = [_prove_case(c, "dit+", h, g) for c, h, g in _pr01_cases()]
         return SuiteReport("pr01", cases)
     if sid == "dits":
-        cases = [_prove_case(c, "dits", [], g, config) for c, g in _DITS_CASES]
+        cases = [_prove_case(c, "dits", [], g) for c, g in _DITS_CASES]
         return SuiteReport("dits", cases)
     if sid == "collapse":
-        cases = [_prove_case(c, "dit+", h, g, config) for c, h, g in _COLLAPSE_CASES]
+        cases = [_prove_case(c, "dit+", h, g) for c, h, g in _COLLAPSE_CASES]
         return SuiteReport("collapse", cases, notes=_progression_notes(cases[-1]))
     if sid == "dgss":
         rep = verify_dgss_lemmas(samples, seed)

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import itertools
+import os
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from relcalc import models
+from relcalc.cli import main
 from relcalc.engine import (AX6, AX9A, GROUND, LRXR, SYSTEMS, Rule, RuleSystem,
                             make_system)
 from relcalc.models import (Model, ModelQuery, Violation, _designations, _fill, _pin,
                             _propagate, _read, check_model, count_models,
-                            enumerate_models, find_min_model, format_model)
+                            enumerate_models, find_min_model, format_model, iter_models)
 from relcalc.terms import parse_word
 
 Z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -166,28 +170,50 @@ def test_query_takes_only_int_sizes_and_limits(size, limit):
     with pytest.raises(ValueError, match="must be an int"):
         ModelQuery("dgss", size, limit)
     with pytest.raises(ValueError, match="must be an int"):
-        count_models("dgss", size, limit=limit)
+        sum(1 for _ in iter_models(ModelQuery("dgss", size, limit)))
 
 
 def test_count_models_honours_limit():
     assert count_models("dit", 3) == 12
-    assert [count_models("dit", 3, limit=k) for k in (1, 5, 12, 13)] == [1, 5, 12, 12]
+    assert [sum(1 for _ in iter_models(ModelQuery("dit", 3, limit=k))) for k in (1, 5, 12, 13)] \
+        == [1, 5, 12, 12]
     with pytest.raises(ValueError, match="limit must be at least 1"):
-        count_models("dit", 3, limit=0)
+        sum(1 for _ in iter_models(ModelQuery("dit", 3, limit=0)))
+
+
+def test_query_is_checked_at_construction():
+    with pytest.raises(ValueError, match=r"^size 7 outside 1\.\.6$"):
+        ModelQuery("dit", 7)
+    with pytest.raises(ValueError, match="^limit must be at least 1, got 0$"):
+        ModelQuery("dit", 3, limit=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ModelQuery("dit", 3).size = 7
+    with pytest.raises(ValueError, match="unknown system"):
+        iter_models(ModelQuery("nope", 3))  # at the call, before any model is asked for
+
+
+def _peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_counting_keeps_no_model_list():
-    def peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
     # 5,400 models over 60 designations; the first one's 90 are kept
-    counted = peak(lambda: count_models("dit+", 5))
-    listed = peak(lambda: len(enumerate_models(ModelQuery("dit+", 5))))
+    counted = _peak(lambda: count_models("dit+", 5))
+    listed = _peak(lambda: len(enumerate_models(ModelQuery("dit+", 5))))
     assert counted < listed / 4
+
+
+def test_listing_keeps_no_model_list():
+    # `relcalc models` prints each model as it is found
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        printed = _peak(lambda: main(["models", "--system", "dit+", "--size", "5"]))
+    listed = _peak(lambda: len(enumerate_models(ModelQuery("dit+", 5))))
+    assert printed < listed / 4
 
 
 def test_query_has_no_count_only_field():

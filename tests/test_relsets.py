@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from relcalc.engine import SearchConfig
@@ -51,9 +53,16 @@ def test_is_member_symbolic_proof():
     assert is_member(Atom("e"), W("a' a")) is True
 
 
+def test_is_member_under_dgss_is_decided():
+    t0 = time.perf_counter()
+    assert is_member(Atom("q"), W("x")) is False
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_is_member_symbolic_undecided():
+    # dgss answers exactly; the bounded search stays for the other systems
     cfg = SearchConfig(max_word_len=6, max_nodes=2000, max_depth=6)
-    got = is_member(Atom("q"), W("x"), config=cfg)
+    got = is_member(Atom("q"), W("x"), system="dit+", config=cfg)
     assert got is UNDECIDED
     assert repr(got) == "Undecided"
     assert got is not True and got is not False
