@@ -39,9 +39,9 @@ def _build_parser() -> _Parser:
                     choices=tuple(SYSTEMS))
     sp.add_argument("--hyp", action="append", default=[], metavar="EQ",
                     help="ground hypothesis equation, repeatable")
-    sp.add_argument("--max-depth", type=int, default=30)
-    sp.add_argument("--max-len", type=int, default=16)
-    sp.add_argument("--max-nodes", type=int, default=1_000_000)
+    sp.add_argument("--max-depth", type=int, default=SearchConfig.max_depth)
+    sp.add_argument("--max-len", type=int, default=SearchConfig.max_word_len)
+    sp.add_argument("--max-nodes", type=int, default=SearchConfig.max_nodes)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("equation")
 
@@ -49,7 +49,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("file")
 
     sp = sub.add_parser("suite", help="run a derivation suite")
-    sp.add_argument("suite_id", choices=SUITE_IDS)
+    sp.add_argument("suite_id", type=system_id, choices=SUITE_IDS)
 
     sp = sub.add_parser("models", help="enumerate finite models")
     sp.add_argument("--system", required=True, type=system_id,

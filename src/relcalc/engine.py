@@ -148,7 +148,8 @@ SYSTEM_NAMES = tuple(s.name for s in SYSTEMS.values())
 
 
 def system_id(name: str) -> str:
-    """The SYSTEMS key `name` spells: ids ignore case and surrounding blanks."""
+    """The SYSTEMS (or suite) key `name` spells: ids ignore case and
+    surrounding blanks."""
     return name.strip().lower()
 
 
@@ -238,6 +239,18 @@ def _apply_backward(w: Word, rule: Rule, pos: int) -> Word:
 
 
 @dataclass(frozen=True)
+class SearchConfig:
+    """Search bounds; `neighbors` takes its default word length from here."""
+    max_word_len: int = 16
+    max_nodes: int = 1_000_000
+    max_depth: int = 30
+
+    def __post_init__(self):
+        if min(self.max_word_len, self.max_nodes, self.max_depth) < 1:
+            raise ValueError("search bounds must be at least 1")
+
+
+@dataclass(frozen=True)
 class ProofStep:
     rule: str
     dir: str
@@ -266,7 +279,7 @@ def _sorted_rules(system: RuleSystem, hypotheses) -> list[Rule]:
 
 
 def neighbors(w: Word, system: RuleSystem | str, hypotheses=(),
-              max_len: int = 16) -> list[tuple[Word, ProofStep]]:
+              max_len: int = SearchConfig.max_word_len) -> list[tuple[Word, ProofStep]]:
     """All one-step rewrites of `w`: system rules and hypothesis
     equations, both directions, every position.  Order is position-major
     and rule-id-minor, with lr before rl; inverse-pair insertions are
@@ -458,17 +471,6 @@ class _Core:
 
 # ---------------------------------------------------------------------------
 # search
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    max_word_len: int = 16
-    max_nodes: int = 1_000_000
-    max_depth: int = 30
-
-    def __post_init__(self):
-        if min(self.max_word_len, self.max_nodes, self.max_depth) < 1:
-            raise ValueError("search bounds must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -694,6 +696,7 @@ def proof_from_dict(data: dict) -> Proof:
     except KeyError as e:
         raise ValueError(f"proof script is missing the {e.args[0]!r} field") from None
     if not isinstance(system, str) or not isinstance(hyp_texts, list) \
+            or not all(isinstance(t, str) for t in hyp_texts) \
             or not isinstance(goal_text, str) or not isinstance(step_items, list):
         raise ValueError("proof script field has the wrong shape")
     hypotheses = tuple(parse_equation(t) for t in hyp_texts)

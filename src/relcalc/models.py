@@ -21,12 +21,15 @@ table, and it is deterministic.
 Propagation works off a queue of the cells just placed, as SEM and
 Mace4 do: a cell i*j = v rechecks only the associativity instances
 that mention it, as a*b, as b*c, or as the looked-up product (a*b)*c
-or a*(b*c), and its tied cells.  It also prunes the two existential
-obligations as soon as they can no longer hold: a column with no cell
-left that is empty or e, under `left_inverses`, and an element y with
-no z left whose z*y and y*z are both empty or e, under inverse-cancel.
-Pruning only cuts subtrees without models; `check_model` still judges
-every complete table before it is emitted.
+or a*(b*c), and its tied cells.  Each goes through one forcing rule,
+`_equate`: a known cell fills an empty cell it must equal and queues
+it, and two known cells that differ clash.  Associativity sites skip
+equal cells, the common case, without a call.  Propagation also prunes
+the two existential obligations as soon as they can no longer hold: a
+column with no cell left that is empty or e, under `left_inverses`,
+and an element y with no z left whose z*y and y*z are both empty or e,
+under inverse-cancel.  Pruning only cuts subtrees without models;
+`check_model` still judges every complete table before it is emitted.
 
 Only the first designation, roles -> 0..k-1, is searched; every later
 one gets its models by relabelling.  `_read` admits only equations on
@@ -197,6 +200,22 @@ def _designations(roles: tuple[str, ...], n: int):
     return (dict(zip(roles, values)) for values in permutations(range(n), len(roles)))
 
 
+def _equate(t, trail, p: int, q: int, r: int, s: int) -> bool:
+    """Cells p*q and r*s of `t` must agree: a known one fills an empty one,
+    which is queued on `trail`; False if both are known and differ."""
+    x, y = t[p][q], t[r][s]
+    if x is None:
+        if y is not None:
+            t[p][q] = y
+            trail.append((p, q))
+    elif y is None:
+        t[r][s] = x
+        trail.append((r, s))
+    elif x != y:
+        return False
+    return True
+
+
 def _propagate(t: list[list[int | None]], n: int, trail: list[tuple[int, int]],
                watch: tuple) -> bool:
     """Close the partial table under forced consequences, working off
@@ -209,42 +228,18 @@ def _propagate(t: list[list[int | None]], n: int, trail: list[tuple[int, int]],
     order the queue is worked in."""
     ties, left, inverse = watch
     rows = range(n)
-    k = 0
-    while k < len(trail):
-        i, j = trail[k]
-        k += 1
+    for i, j in trail:          # also visits the cells pushed meanwhile
         ri, rj = t[i], t[j]
         v = ri[j]
         rv = t[v]
         for c in rows:          # (i*j)*c = v*c against i*(j*c)
             jc = rj[c]
-            if jc is None:
-                continue
-            lhs, rhs = rv[c], ri[jc]
-            if lhs is None:
-                if rhs is not None:
-                    rv[c] = rhs
-                    trail.append((v, c))
-            elif rhs is None:
-                ri[jc] = lhs
-                trail.append((i, jc))
-            elif lhs != rhs:
+            if jc is not None and rv[c] != ri[jc] and not _equate(t, trail, v, c, i, jc):
                 return False
         for a in rows:          # (a*i)*j against a*(i*j) = a*v
             ra = t[a]
             ai = ra[i]
-            if ai is None:
-                continue
-            rai = t[ai]
-            lhs, rhs = rai[j], ra[v]
-            if lhs is None:
-                if rhs is not None:
-                    rai[j] = rhs
-                    trail.append((ai, j))
-            elif rhs is None:
-                ra[v] = lhs
-                trail.append((a, v))
-            elif lhs != rhs:
+            if ai is not None and t[ai][j] != ra[v] and not _equate(t, trail, ai, j, a, v):
                 return False
         for a in rows:          # v as a looked-up product
             ra = t[a]
@@ -252,29 +247,14 @@ def _propagate(t: list[list[int | None]], n: int, trail: list[tuple[int, int]],
                 ab = ra[b]
                 if ab == i:     # (a*b)*j = v against a*(b*j)
                     bj = t[b][j]
-                    if bj is not None:
-                        rhs = ra[bj]
-                        if rhs is None:
-                            ra[bj] = v
-                            trail.append((a, bj))
-                        elif rhs != v:
-                            return False
+                    if bj is not None and ra[bj] != v and not _equate(t, trail, a, bj, i, j):
+                        return False
                 if ab == j:     # i*(a*b) = v against (i*a)*b
                     ia = ri[a]
-                    if ia is not None:
-                        ria = t[ia]
-                        lhs = ria[b]
-                        if lhs is None:
-                            ria[b] = v
-                            trail.append((ia, b))
-                        elif lhs != v:
-                            return False
+                    if ia is not None and t[ia][b] != v and not _equate(t, trail, ia, b, i, j):
+                        return False
         for p, q in ties.get((i, j), ()):
-            w = t[p][q]
-            if w is None:
-                t[p][q] = v
-                trail.append((p, q))
-            elif w != v:
+            if not _equate(t, trail, p, q, i, j):
                 return False
         if v != left and left is not None:     # some z*j may still be e
             for r in t:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .freegroup import equal_dgss
+from .freegroup import equal_dgss, free_reduce
 from .terms import Atom, Word
 
 ONE = Atom("1")
@@ -44,9 +44,12 @@ def succ(w: Word) -> Word:
 
 
 def eval_zero(w: Word) -> Word:
-    """Delete `0` atoms; a word of nothing but zeros keeps a single one."""
-    kept = tuple(a for a in w if a != ZERO)
-    return Word(kept) if kept else Word((ZERO,))
+    """Delete `0` atoms; a word of nothing but zeros keeps a single one.
+    Zero is the identity that free reduction deletes; numerals carry no
+    inverse marks, so a marked atom is a ValueError."""
+    if any(a.inverted for a in w):
+        raise ValueError(f"numeral words carry no inverse marks: {w}")
+    return free_reduce(w, ZERO.name)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import peano as peano_mod
 from .engine import (NotFound, Proof, apply_rule, check_proof, hypothesis_rules,
-                     prove_equal)
+                     prove_equal, system_id)
 from .freegroup import verify_dgss_lemmas
 from .terms import Word, parse_equation, print_word
 
@@ -120,7 +120,7 @@ def _progression_notes(seed_case: SuiteCase, rounds: int = 4) -> list[str]:
 
 
 def run_suite(suite_id: str, samples: int = 10_000, seed: int = 42) -> SuiteReport:
-    sid = suite_id.strip().lower()
+    sid = system_id(suite_id)
     if sid == "er":
         cases = [_prove_case(c, "dit+", h, g) for c, h, g in _er_cases()]
         return SuiteReport("er", cases)

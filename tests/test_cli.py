@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import relcalc
-from relcalc.cli import main
-from relcalc.engine import (SYSTEMS, check_proof_data, proof_to_json,
+from relcalc.cli import _build_parser, main
+from relcalc.engine import (SYSTEMS, SearchConfig, check_proof_data, proof_to_json,
                             prove_equal)
+from relcalc.suites import SUITE_IDS
 from relcalc.terms import parse_equation
 
 
@@ -113,6 +114,16 @@ def test_check_boolean_position_is_exit_1(tmp_path, capsys):
     rc, out, err = run(capsys, "check", str(script))
     assert (rc, out) == (1, "")
     assert err.startswith("error:") and "wrong shape" in err
+
+
+def test_check_non_string_hypothesis_is_exit_1(tmp_path, capsys):
+    data = json.loads(proof_to_json(prove_equal(parse_equation("x y = y"), "dit")))
+    script = tmp_path / "hyp.json"
+    script.write_text(json.dumps({**data, "hypotheses": [1]}), encoding="utf-8")
+    rc, out, err = run(capsys, "check", str(script))
+    assert (rc, out) == (1, "")
+    assert err == "error: proof script field has the wrong shape\n"
+    assert "Traceback" not in err
 
 
 def test_check_unreadable_inputs(tmp_path, capsys):
@@ -255,6 +266,12 @@ def test_peano_eval(capsys):
     assert (rc, out) == (0, "0\n")
 
 
+def test_peano_eval_rejects_inverse_marks(capsys):
+    rc, out, err = run(capsys, "peano", "eval", "1'")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ")
+
+
 def test_peano_verify_and_demo(capsys):
     rc, out, _ = run(capsys, "peano", "verify", "--max", "8")
     assert rc == 0
@@ -309,6 +326,28 @@ def test_unknown_system_in_capitals_is_still_a_usage_error(cmd, capsys):
     err = capsys.readouterr().err
     assert "--system {" + ",".join(SYSTEMS) + "}" in err
     assert f"(choose from {', '.join(map(repr, tuple(SYSTEMS)))})" in err
+
+
+def test_suite_ids_ignore_case_and_blanks(capsys):
+    expected = run(capsys, "suite", "er")
+    assert expected[0] == 0 and expected[1]
+    assert run(capsys, "suite", " ER ") == expected
+
+
+def test_unknown_suite_in_capitals_is_still_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["suite", "BOGUS"])
+    assert ei.value.code == 1
+    err = capsys.readouterr().err
+    assert "{" + ",".join(SUITE_IDS) + "}" in err
+    assert f"(choose from {', '.join(map(repr, SUITE_IDS))})" in err
+
+
+def test_prove_defaults_are_the_search_config():
+    args = _build_parser().parse_args(["prove", "--system", "dit", "x = y"])
+    config = SearchConfig()
+    assert (args.max_depth, args.max_len, args.max_nodes) == \
+        (config.max_depth, config.max_word_len, config.max_nodes)
 
 
 def test_check_names_the_table_for_an_unknown_system(tmp_path, capsys):

@@ -510,6 +510,7 @@ def test_script_structural_errors():
         {**good, "steps": [{"rule": "ax7"}]},
         {**good, "steps": [{**good["steps"][0], "pos": "0"}]},
         {**good, "steps": [{**good["steps"][0], "pos": True}]},  # bool, though True == 1
+        {**good, "hypotheses": [1]},
     ]:
         with pytest.raises(ValueError):
             proof_from_dict(corrupt)

@@ -689,6 +689,31 @@ def test_a_placement_that_strands_an_inverse_fails_at_once(t, placed):
     assert not _propagate(t, n, [(i, j)], watch)
 
 
+@pytest.mark.parametrize("t,placed", [
+    ([[0, 1, None], [None] * 3, [None] * 3], (1, 0, 0)),  # (i*j)*c
+    ([[0, 0, None], [None] * 3, [None] * 3], (1, 0, 2)),  # (a*i)*j
+    ([[2, 2, None], [None] * 3, [None] * 3], (1, 0, 0)),  # (a*b)*j
+    ([[2, 2, None], [None] * 3, [None] * 3], (0, 2, 0)),  # i*(a*b)
+])
+def test_each_associativity_site_forces(t, placed):
+    """A cell placed on a closed table forces what the full rescan
+    forces; the closure of each case needs the site it is marked with."""
+    n, watch = len(t), ({}, None, None)
+    ref = [row[:] for row in t]
+    assert _propagate(t, n, [(0, 0), (0, 1)], watch) and t == ref
+    i, j, v = placed
+    t[i][j] = ref[i][j] = v
+    assert _reference_propagate(ref, n, [], [])
+    assert _propagate(t, n, [(i, j)], watch) and t == ref
+
+
+def test_tied_cells_are_forced_and_clash():
+    watch = ({(0, 1): [(1, 0)], (1, 0): [(0, 1)]}, None, None)
+    t = [[None, 1], [None, None]]
+    assert _propagate(t, 2, [(0, 1)], watch) and t == [[None, 1], [1, None]]
+    assert not _propagate([[None, 1], [0, None]], 2, [(0, 1)], watch)
+
+
 # ---------------------------------------------------------------------------
 # the distinctness family counted without the enumerator
 

@@ -40,6 +40,11 @@ def test_eval_zero():
     assert eval_zero(W("0 0")) == W("0")
 
 
+def test_eval_zero_rejects_inverse_marks():
+    with pytest.raises(ValueError):
+        eval_zero(W("1'"))
+
+
 def test_verify_peano_passes():
     rep = verify_peano(16)
     assert rep.all_passed
