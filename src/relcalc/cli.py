@@ -27,6 +27,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _Ids(tuple):
+    """Choices that admit an id in any case and with surrounding blanks.
+    argparse keeps the value as typed, so an unknown id is echoed as
+    typed; make_system and run_suite normalise a known one."""
+
+    def __contains__(self, value):
+        return tuple.__contains__(self, system_id(value))
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="relcalc", description="relational calculus workbench")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -35,8 +44,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("expr")
 
     sp = sub.add_parser("prove", help="search for an equational proof")
-    sp.add_argument("--system", required=True, type=system_id,
-                    choices=tuple(SYSTEMS))
+    sp.add_argument("--system", required=True, choices=_Ids(SYSTEMS))
     sp.add_argument("--hyp", action="append", default=[], metavar="EQ",
                     help="ground hypothesis equation, repeatable")
     sp.add_argument("--max-depth", type=int, default=SearchConfig.max_depth)
@@ -49,11 +57,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("file")
 
     sp = sub.add_parser("suite", help="run a derivation suite")
-    sp.add_argument("suite_id", type=system_id, choices=SUITE_IDS)
+    sp.add_argument("suite_id", choices=_Ids(SUITE_IDS))
 
     sp = sub.add_parser("models", help="enumerate finite models")
-    sp.add_argument("--system", required=True, type=system_id,
-                    choices=tuple(SYSTEMS))
+    sp.add_argument("--system", required=True, choices=_Ids(SYSTEMS))
     sp.add_argument("--size", required=True, type=int)
     sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--limit", type=int, default=None)

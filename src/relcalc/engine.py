@@ -13,11 +13,12 @@ built-in systems, described once in the table `SYSTEMS`:
 Every rule applies in both directions at any position, so provable
 equality is exactly the congruence the rules generate on words.  A
 proof is a chain of steps; each step cites a rule id, a direction
-("lr" or "rl"), a 0-based position, and the full resulting word.  The
-checker replays steps: an lr step must recompute to its recorded
-result, and an rl step is valid iff applying the cited rule forward at
-the same position on the recorded result restores the previous word.
-That convention is what keeps the one rl case whose output is not a
+("lr" or "rl"), a 0-based position, and the full resulting word.
+`apply_rule` is one body for both directions.  The checker replays
+every step through one forward application at the cited position: an
+lr step must rewrite the previous word to its recorded result, and an
+rl step its recorded result back to the previous word.  That
+convention is what keeps the one rl case whose output is not a
 function of the position (inverse-pair insertion) checkable.
 
 Search is bidirectional breadth-first: one frontier grows from each
@@ -178,60 +179,47 @@ def apply_rule(w: Word, rule: Rule, pos: int, direction: str = LR,
     enumerate those with neighbors()), EmptyResult when a deletion
     would erase the whole word, and TooLong against `max_len`.
     """
-    if direction == LR:
-        out = _apply_forward(w, rule, pos)
-    elif direction == RL:
-        out = _apply_backward(w, rule, pos)
-    else:
+    if direction not in (LR, RL):
         raise ValueError(f"direction must be {LR!r} or {RL!r}, got {direction!r}")
+    atoms, n = w.atoms, len(w)
+    if rule.kind == GROUND:
+        pat, rep = (rule.lhs, rule.rhs) if direction == LR else (rule.rhs, rule.lhs)
+        k = len(pat)
+        if pos < 0 or pos + k > n or atoms[pos:pos + k] != pat.atoms:
+            raise NoMatch(f"{rule.id}: no {direction} match at {pos}")
+        out = atoms[:pos] + rep.atoms + atoms[pos + k:]
+    elif rule.kind == IDENTITY_ELIM:
+        if direction == LR:
+            if pos < 0 or pos >= n or atoms[pos] != rule.atom:
+                raise NoMatch(f"{rule.id}: no {rule.atom} at {pos}")
+            if rule.needs == "right" and pos == n - 1:
+                raise NoMatch(f"{rule.id}: occurrence at {pos} has no right neighbour")
+            if rule.needs == "left" and pos == 0:
+                raise NoMatch(f"{rule.id}: occurrence at {pos} has no left neighbour")
+            out = atoms[:pos] + atoms[pos + 1:]
+        else:
+            # insertion; legal iff deleting the inserted atom again would be
+            if pos < 0 or pos > n:
+                raise NoMatch(f"{rule.id}: cannot insert at {pos}")
+            if rule.needs == "right" and pos == n:
+                raise NoMatch(f"{rule.id}: inserted atom would have no right neighbour")
+            if rule.needs == "left" and pos == 0:
+                raise NoMatch(f"{rule.id}: inserted atom would have no left neighbour")
+            out = atoms[:pos] + (rule.atom,) + atoms[pos:]
+    elif direction == LR:  # inverse-cancel
+        if pos < 0 or pos + 2 > n:
+            raise NoMatch(f"{rule.id}: no pair at {pos}")
+        a, b = atoms[pos], atoms[pos + 1]
+        if a.name != b.name or a.inverted == b.inverted:
+            raise NoMatch(f"{rule.id}: {a} {b} is not a cancelling pair")
+        if n == 2:
+            raise EmptyResult("cancelling the whole word would leave nothing")
+        out = atoms[:pos] + atoms[pos + 2:]
+    else:
+        raise NoMatch(f"{rule.id}: the inserted pair is not determined by a position")
     if max_len is not None and len(out) > max_len:
         raise TooLong(f"result has {len(out)} atoms, bound is {max_len}")
-    return out
-
-
-def _apply_forward(w: Word, rule: Rule, pos: int) -> Word:
-    n = len(w)
-    if rule.kind == GROUND:
-        k = len(rule.lhs)
-        if pos < 0 or pos + k > n or w.atoms[pos:pos + k] != rule.lhs.atoms:
-            raise NoMatch(f"{rule.id}: no lr match at {pos}")
-        return Word(w.atoms[:pos] + rule.rhs.atoms + w.atoms[pos + k:])
-    if rule.kind == IDENTITY_ELIM:
-        if pos < 0 or pos >= n or w.atoms[pos] != rule.atom:
-            raise NoMatch(f"{rule.id}: no {rule.atom} at {pos}")
-        if rule.needs == "right" and pos == n - 1:
-            raise NoMatch(f"{rule.id}: occurrence at {pos} has no right neighbour")
-        if rule.needs == "left" and pos == 0:
-            raise NoMatch(f"{rule.id}: occurrence at {pos} has no left neighbour")
-        return Word(w.atoms[:pos] + w.atoms[pos + 1:])
-    # inverse-cancel
-    if pos < 0 or pos + 2 > n:
-        raise NoMatch(f"{rule.id}: no pair at {pos}")
-    a, b = w.atoms[pos], w.atoms[pos + 1]
-    if a.name != b.name or a.inverted == b.inverted:
-        raise NoMatch(f"{rule.id}: {a} {b} is not a cancelling pair")
-    if n == 2:
-        raise EmptyResult("cancelling the whole word would leave nothing")
-    return Word(w.atoms[:pos] + w.atoms[pos + 2:])
-
-
-def _apply_backward(w: Word, rule: Rule, pos: int) -> Word:
-    n = len(w)
-    if rule.kind == GROUND:
-        k = len(rule.rhs)
-        if pos < 0 or pos + k > n or w.atoms[pos:pos + k] != rule.rhs.atoms:
-            raise NoMatch(f"{rule.id}: no rl match at {pos}")
-        return Word(w.atoms[:pos] + rule.lhs.atoms + w.atoms[pos + k:])
-    if rule.kind == IDENTITY_ELIM:
-        # insertion; legal iff deleting the inserted atom again would be
-        if pos < 0 or pos > n:
-            raise NoMatch(f"{rule.id}: cannot insert at {pos}")
-        if rule.needs == "right" and pos == n:
-            raise NoMatch(f"{rule.id}: inserted atom would have no right neighbour")
-        if rule.needs == "left" and pos == 0:
-            raise NoMatch(f"{rule.id}: inserted atom would have no left neighbour")
-        return Word(w.atoms[:pos] + (rule.atom,) + w.atoms[pos:])
-    raise NoMatch(f"{rule.id}: the inserted pair is not determined by a position")
+    return Word(out)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +508,7 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
     nl, ls = core.normalize(lt)
     nr, rs = core.normalize(rt)
     if nl == nr:
-        steps = core.steps(ls) + tuple(_invert_chain(rhs, core.steps(rs)))
-        return Proof(system.name, hypotheses, goal, steps)
+        return Proof(system.name, hypotheses, goal, _join(core, ls, rs, rhs))
 
     # bidirectional BFS over encoded words; seen maps word -> None for the
     # root, else (predecessor, (word, rule id, dir, pos) of the step into it)
@@ -569,7 +556,7 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
                 b_frontier, meet = grow(b_frontier, bwd, fwd)
                 b_depth += 1
             if meet is not None:
-                steps = _stitch(core, meet, fwd, bwd, rt)
+                steps = _join(core, _walk(fwd, meet), _walk(bwd, meet), rhs)
                 return Proof(system.name, hypotheses, goal, steps, nodes_expanded=nodes)
             if not system.allows_inverses and (not f_frontier or not b_frontier):
                 return NotFound(nodes, None)
@@ -578,19 +565,17 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
 
 
 def _walk(seen, w) -> list[tuple]:
-    # (predecessor, step) edges from the root out to w, in root-to-w order
-    edges = []
+    # the steps (word, rule id, dir, pos) from the root out to w, in root-to-w order
+    hits = []
     while seen[w] is not None:
-        edges.append(seen[w])
-        w = seen[w][0]
-    edges.reverse()
-    return edges
+        w, hit = seen[w]
+        hits.append(hit)
+    return hits[::-1]
 
 
-def _stitch(core: _Core, meet, fwd, bwd, rt) -> tuple[ProofStep, ...]:
-    # the backward side's chain runs from rt out to meet; the proof runs it back
-    back = _invert_chain(core.decode(rt), core.steps(hit for _, hit in _walk(bwd, meet)))
-    return core.steps(hit for _, hit in _walk(fwd, meet)) + tuple(back)
+def _join(core: _Core, fwd_chain, bwd_chain, rhs: Word) -> tuple[ProofStep, ...]:
+    # out along fwd_chain from the left side, then back along bwd_chain to rhs
+    return core.steps(fwd_chain) + tuple(_invert_chain(rhs, core.steps(bwd_chain)))
 
 
 # ---------------------------------------------------------------------------
@@ -617,43 +602,32 @@ def check_proof(p: Proof) -> CheckResult:
     """
     try:
         system = make_system(p.system)
-    except ValueError as e:
-        return CheckResult(False, None, str(e))
-    try:
         _validate_problem(system, [p.goal[0], p.goal[1]]
                           + [w for h in p.hypotheses for w in h], None)
     except ValueError as e:
         return CheckResult(False, None, str(e))
-    rules = system.rule_map()
-    for r in hypothesis_rules(p.hypotheses):
-        rules[r.id] = r
+    rules = system.rule_map() | {r.id: r for r in hypothesis_rules(p.hypotheses)}
 
     cur = p.goal[0]
     for i, st in enumerate(p.steps):
         rule = rules.get(st.rule)
         if rule is None:
             return CheckResult(False, i, f"unknown rule {st.rule!r} under {system.name}")
-        if st.dir == LR:
-            try:
-                out = apply_rule(cur, rule, st.pos, LR)
-            except RewriteError as e:
-                return CheckResult(False, i, str(e))
-            if out != st.result:
-                return CheckResult(
-                    False, i,
-                    f"recomputed {print_word(out)!r}, step records {print_word(st.result)!r}")
-        elif st.dir == RL:
-            try:
-                back = apply_rule(st.result, rule, st.pos, LR)
-            except RewriteError as e:
-                return CheckResult(False, i, f"reverse step does not replay: {e}")
-            if back != cur:
-                return CheckResult(
-                    False, i,
-                    f"applying {st.rule} forward on the result gives "
-                    f"{print_word(back)!r}, not the previous word")
-        else:
+        if st.dir not in (LR, RL):
             return CheckResult(False, i, f"bad direction {st.dir!r}")
+        src, dst = (cur, st.result) if st.dir == LR else (st.result, cur)
+        try:
+            out = apply_rule(src, rule, st.pos, LR)
+        except RewriteError as e:
+            return CheckResult(False, i, str(e) if st.dir == LR
+                               else f"reverse step does not replay: {e}")
+        if out != dst:
+            if st.dir == LR:
+                why = f"recomputed {print_word(out)!r}, step records {print_word(dst)!r}"
+            else:
+                why = (f"applying {st.rule} forward on the result gives "
+                       f"{print_word(out)!r}, not the previous word")
+            return CheckResult(False, i, why)
         cur = st.result
     if cur != p.goal[1]:
         return CheckResult(

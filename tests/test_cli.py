@@ -75,6 +75,12 @@ def test_prove_bounds_flags(capsys):
     assert "bound hit: max_depth" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-nodes", "--max-depth", "--max-len"])
+def test_prove_bounds_below_one_are_exit_1(flag, capsys):
+    rc, out, err = run(capsys, "prove", "--system", "dit", flag, "0", "x y = y")
+    assert (rc, out, err) == (1, "", "error: search bounds must be at least 1\n")
+
+
 def test_prove_json_round_trip(capsys):
     rc, out, _ = run(capsys, "prove", "--system", "dits",
                      "--format", "json", "x x = x")
@@ -102,6 +108,15 @@ def test_check_ok_and_rejected(tmp_path, capsys):
     rc, out, _ = run(capsys, "check", str(bad))
     assert rc == 2
     assert out.startswith("rejected at step 0:")
+
+    reverse = tmp_path / "reverse.json"
+    reverse.write_text(json.dumps({
+        "system": "DIT", "hypotheses": [], "goal": "y = x y",
+        "steps": [{"rule": "ax6", "dir": "rl", "pos": 1, "result": "x y"}]}),
+        encoding="utf-8")
+    rc, out, _ = run(capsys, "check", str(reverse))
+    assert (rc, out) == (
+        2, "rejected at step 0: reverse step does not replay: ax6: no lr match at 1\n")
 
 
 def test_check_boolean_position_is_exit_1(tmp_path, capsys):
@@ -309,6 +324,7 @@ def test_system_choices_are_the_table_ids(cmd, capsys):
 @pytest.mark.parametrize("given,system,equation", [
     ("DGSS", "dgss", "a a' b = b"),
     (" DiT ", "dit", "x y = y"),
+    (" DIT+ ", "dit+", "x y = y"),
 ])
 @pytest.mark.parametrize("cmd", ["prove", "models"])
 def test_system_ids_ignore_case_and_blanks(cmd, given, system, equation, capsys):
@@ -324,6 +340,7 @@ def test_unknown_system_in_capitals_is_still_a_usage_error(cmd, capsys):
         main([cmd, "--system", "NOSUCH"])
     assert ei.value.code == 1
     err = capsys.readouterr().err
+    assert "invalid choice: 'NOSUCH'" in err  # echoed as typed
     assert "--system {" + ",".join(SYSTEMS) + "}" in err
     assert f"(choose from {', '.join(map(repr, tuple(SYSTEMS)))})" in err
 
@@ -339,6 +356,7 @@ def test_unknown_suite_in_capitals_is_still_a_usage_error(capsys):
         main(["suite", "BOGUS"])
     assert ei.value.code == 1
     err = capsys.readouterr().err
+    assert "invalid choice: 'BOGUS'" in err  # echoed as typed
     assert "{" + ",".join(SUITE_IDS) + "}" in err
     assert f"(choose from {', '.join(map(repr, SUITE_IDS))})" in err
 

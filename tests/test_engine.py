@@ -5,12 +5,13 @@ import itertools
 import json
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from relcalc.engine import (GROUND, INVERSE_CANCEL, LR, RL, SYSTEM_NAMES,
-                            SYSTEMS, EmptyResult, NoMatch, NotFound, Proof,
-                            ProofStep, RewriteError, SearchConfig, TooLong,
-                            apply_rule, check_proof, check_proof_data,
+from relcalc.engine import (GROUND, IDENTITY_ELIM, INVERSE_CANCEL, LR, RL,
+                            SYSTEM_NAMES, SYSTEMS, CheckResult, EmptyResult,
+                            NoMatch, NotFound, Proof, ProofStep, RewriteError,
+                            Rule, SearchConfig, TooLong, apply_rule,
+                            check_proof, check_proof_data,
                             hypothesis_rules, make_system, neighbors,
                             normalize, proof_from_dict, proof_to_dict,
                             proof_to_json, prove_equal, reverse_proof)
@@ -91,6 +92,10 @@ def test_apply_rule_identity_elim():
     assert apply_rule(W("a b"), ax8, 1, RL) == W("a e b")
     with pytest.raises(NoMatch):
         apply_rule(W("a"), ax8, 1, RL)  # would sit at the end
+    for rule in (ax8, lrxr):
+        for pos in (-1, 3):  # outside the word "a b", ends included
+            with pytest.raises(NoMatch, match="cannot insert"):
+                apply_rule(W("a b"), rule, pos, RL)
 
 
 def test_apply_rule_inverse_cancel():
@@ -104,6 +109,54 @@ def test_apply_rule_inverse_cancel():
     # insertion is not a function of the position
     with pytest.raises(NoMatch):
         apply_rule(W("a"), ax9a, 0, RL)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(id=""), "rule id must be non-empty"),
+    (dict(id="r", kind=GROUND, lhs=W("x")), "ground rule needs both sides"),
+    (dict(id="r", kind=GROUND, rhs=W("x")), "ground rule needs both sides"),
+    (dict(id="r", kind=IDENTITY_ELIM, needs="left"), "needs its atom and a side"),
+    (dict(id="r", kind=IDENTITY_ELIM, atom=Atom("e")), "needs its atom and a side"),
+    (dict(id="r", kind=IDENTITY_ELIM, atom=Atom("e"), needs="up"), "needs its atom and a side"),
+    (dict(id="r", kind="commute"), "unknown rule kind 'commute'"),
+])
+def test_malformed_rules_are_refused(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        Rule(**kwargs)
+
+
+# every rule whose rl reading is a function of the position, plus a hypothesis
+_POSITIONAL_RULES = sorted({r for s in SYSTEMS.values() for r in s.rules
+                            if r.kind != INVERSE_CANCEL}, key=lambda r: r.id) \
+    + hypothesis_rules([(W("a b'"), W("c"))])
+
+
+def _applied(w, rule, pos, direction):
+    try:
+        return apply_rule(w, rule, pos, direction)
+    except RewriteError:
+        return None
+
+
+@given(st.sampled_from(_POSITIONAL_RULES), st.data())
+@settings(max_examples=400, deadline=None)
+def test_rl_application_is_the_inverse_of_lr(rule, data):
+    # the checker's convention: apply_rule(w, r, p, RL) == w2 exactly when
+    # apply_rule(w2, r, p, LR) == w, so an rl step replays forward
+    # words hold a side of the rule between random atoms, so that both
+    # directions match often; pos is its start or anywhere in -1..n+1
+    sides = [rule.lhs.atoms, rule.rhs.atoms] if rule.kind == GROUND else [(rule.atom,), ()]
+    names = sorted({a.name for side in sides for a in side} | {"a"})
+    atoms = st.lists(st.builds(Atom, st.sampled_from(names),
+                               st.sampled_from([False, False, False, True])), max_size=2)
+    pre, mid, post = data.draw(atoms), data.draw(st.sampled_from(sides)), data.draw(atoms)
+    assume(pre or mid or post)
+    w = Word(tuple(pre) + mid + tuple(post))
+    pos = data.draw(st.just(len(pre)) | st.integers(-1, len(w) + 1))
+    for there, back in ((RL, LR), (LR, RL)):
+        w2 = _applied(w, rule, pos, there)
+        if w2 is not None:
+            assert _applied(w2, rule, pos, back) == w
 
 
 def test_apply_rule_bounds_and_direction():
@@ -481,6 +534,49 @@ def test_check_rejects_marks_under_markless_system():
     assert not res.ok
 
 
+def test_check_result_truth_is_its_verdict():
+    assert bool(check_proof(_proved("z y = x"))) is True
+    assert bool(CheckResult(False, 0, "why")) is False
+
+
+def _script(system, goal, steps):
+    return Proof(system, (), parse_equation(goal),
+                 tuple(ProofStep(r, d, pos, W(res)) for r, d, pos, res in steps))
+
+
+@pytest.mark.parametrize("system, goal, steps, expected", [
+    ("DIT", "z y = x", [("ax7a", LR, 0, "x")],
+     (False, 0, "unknown rule 'ax7a' under DIT")),
+    ("DIT", "z y = x", [("ax7a", "up", 0, "x")],  # the rule is looked up first
+     (False, 0, "unknown rule 'ax7a' under DIT")),
+    ("DIT", "z y = x", [("ax7", "up", 0, "x")],
+     (False, 0, "bad direction 'up'")),
+    ("DIT", "z y = x", [("ax7", LR, 1, "x")],
+     (False, 0, "ax7: no lr match at 1")),
+    ("DIT", "z y y = y", [("ax7", LR, 0, "x y"), ("ax6", LR, 1, "y")],
+     (False, 1, "ax6: no lr match at 1")),
+    ("DIT", "z y = y", [("ax7", LR, 0, "y")],
+     (False, 0, "recomputed 'x', step records 'y'")),
+    ("DIT", "x = y y", [("ax7", RL, 0, "y y")],
+     (False, 0, "reverse step does not replay: ax7: no lr match at 0")),
+    ("DIT", "y = z y", [("ax7", RL, 0, "z y")],
+     (False, 0, "applying ax7 forward on the result gives 'x', not the previous word")),
+    ("DGSS", "a a' = b", [("ax9a", LR, 0, "b")],
+     (False, 0, "cancelling the whole word would leave nothing")),
+    ("DGSS", "b = a a'", [("ax9a", RL, 0, "a a'")],
+     (False, 0, "reverse step does not replay: cancelling the whole word would leave nothing")),
+    ("DIT", "z y = y", [("ax7", LR, 0, "x")],
+     (False, None, "chain ends at 'x', goal right-hand side is 'y'")),
+    ("zzz", "x = x", [],
+     (False, None, "unknown system 'zzz' (expected one of DIT, DIT+, DITS, DGS, DGS+, DGSS)")),
+    ("DIT", "a' = a'", [],
+     (False, None, "inverse marks in \"a'\" need a system with the inverse-cancel rule, not DIT")),
+])
+def test_check_reasons_are_pinned(system, goal, steps, expected):
+    res = check_proof(_script(system, goal, steps))
+    assert (res.ok, res.failed_step, res.reason) == expected
+
+
 # ---------------------------------------------------------------------------
 # proof scripts
 
@@ -497,8 +593,8 @@ def test_script_rejects_non_canonical_result():
     data = proof_to_dict(p)
     data["steps"][0]["result"] = " x"  # same word, wrong spelling
     res = check_proof_data(data)
-    assert not res.ok and res.failed_step == 0
-    assert "canonical" in res.reason
+    assert (res.ok, res.failed_step, res.reason) == \
+        (False, 0, "result text ' x' is not canonical")
 
 
 def test_script_structural_errors():

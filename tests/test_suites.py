@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from relcalc.engine import check_proof
+from relcalc import suites
+from relcalc.cli import main
+from relcalc.engine import CheckResult, NotFound, check_proof
 from relcalc.suites import SUITE_IDS, SuiteReport, run_suite
 
 
@@ -83,3 +85,30 @@ def test_failing_case_renders_fail_mark():
     assert rep.lines()[1] == "  FAIL c1: x = y  [why]"
     assert not rep.ok
     assert rep.summary() == "0/1 proved"
+
+
+def test_suite_renders_a_search_that_ran_out(monkeypatch):
+    monkeypatch.setattr(suites, "prove_equal", lambda *a: NotFound(7, "max_nodes"))
+    rep = run_suite("er")
+    assert rep.lines()[1] == "  FAIL er1: x x = y x |- x = y  [not found: max_nodes, 7 nodes]"
+    assert rep.summary() == "0/9 proved"
+
+
+def test_suite_renders_a_rejected_proof(monkeypatch):
+    monkeypatch.setattr(suites, "check_proof", lambda p: CheckResult(False, 0, "why"))
+    rep = run_suite("dits")
+    assert rep.lines()[1] == "  FAIL Lxzz: x z = z  [checker rejected step 0: why]"
+    assert not rep.ok
+
+
+def test_collapse_skips_the_demo_without_its_seed(monkeypatch):
+    monkeypatch.setattr(suites, "prove_equal", lambda *a: NotFound(7, None))
+    rep = run_suite("collapse")
+    assert rep.notes == ["progression demo skipped: seed equality not proved"]
+    assert rep.cases[-1].detail == "not found: exhausted, 7 nodes"
+
+
+def test_failing_suite_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(suites, "prove_equal", lambda *a: NotFound(7, "max_nodes"))
+    assert main(["suite", "er"]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == "0/9 proved"
