@@ -43,7 +43,7 @@ configs across threads freely.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .terms import Atom, Word, parse_equation, parse_word, print_word
 
@@ -234,8 +234,10 @@ class SearchConfig:
     max_depth: int = 30
 
     def __post_init__(self):
-        if min(self.max_word_len, self.max_nodes, self.max_depth) < 1:
-            raise ValueError("search bounds must be at least 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 1:
+                raise ValueError(f"{f.name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -275,11 +277,7 @@ def neighbors(w: Word, system: RuleSystem | str, hypotheses=(),
     system = _as_system(system)
     hypotheses = tuple(hypotheses)
     core = _Core(system, hypotheses, (w,))
-    out = []
-    for t, rid, d, pos in core.expand(core.encode(w), max_len):
-        w2 = core.decode(t)
-        out.append((w2, ProofStep(rid, d, pos, w2)))
-    return out
+    return [(s.result, s) for s in core.steps(core.expand(core.encode(w), max_len))]
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,6 @@ def equal_dgss(u: Word, v: Word, identity: str = IDENTITY) -> bool:
 
 @dataclass
 class DeciderReport:
-    samples: int
-    seed: int
     results: dict[str, tuple[int, int]]  # property id -> (passed, total)
 
     @property
@@ -155,7 +153,10 @@ def verify_dgss_lemmas(samples: int, seed: int) -> DeciderReport:
     Every property is checked `samples` times with its own derived
     instances; the report carries pass counts per property.  A word
     equals the identity when it reduces to the empty code list.
+    Raises ValueError for fewer than one sample.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     reduce = _reduce
     passed = dict.fromkeys(("lm2a", "lm2b", "lm2c", "lm2d", "pr2e", "pr2f"), 0)
@@ -187,5 +188,4 @@ def verify_dgss_lemmas(samples: int, seed: int) -> DeciderReport:
         passed["pr2e"] += (reduce(z + x) == reduce(z + y)) == same
         passed["pr2f"] += (reduce(x + z) == reduce(y + z)) == same
 
-    total = max(samples, 0)
-    return DeciderReport(samples, seed, {k: (p, total) for k, p in passed.items()})
+    return DeciderReport({k: (p, samples) for k, p in passed.items()})

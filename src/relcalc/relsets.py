@@ -19,13 +19,6 @@ from .terms import Atom, Word
 
 
 class _Undecided:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "Undecided"
 
@@ -45,9 +38,17 @@ class RelSet:
     def members(self) -> tuple[int, ...]:
         if not isinstance(self.universe, Model):
             raise ValueError("members() needs a model universe")
-        m = self.universe
-        q = element_of(self.quality, m)
-        return tuple(c for c in range(m.size) if m.apply(q, c) == c)
+        return _fixed(self.universe, element_of(self.quality, self.universe))
+
+
+def _fixed(m: Model, q: int) -> tuple[int, ...]:
+    """The elements c with q c = c: the set the quality q names in m."""
+    return tuple(c for c in range(m.size) if m.apply(q, c) == c)
+
+
+def _element(x, m: Model) -> int:
+    """An Atom's carrier element, or `x` itself when already an index."""
+    return element_of(x, m) if isinstance(x, Atom) else x
 
 
 def element_of(atom: Atom, m: Model) -> int:
@@ -89,17 +90,14 @@ def is_member(q: Atom, x: Word, universe="symbolic", system: str = "dgss",
 
 def is_subset(b, a, m: Model) -> bool:
     """Whether every element fixed by b is fixed by a."""
-    be = element_of(b, m) if isinstance(b, Atom) else b
-    ae = element_of(a, m) if isinstance(a, Atom) else a
-    return all(m.apply(ae, c) == c
-               for c in range(m.size) if m.apply(be, c) == c)
+    ae = _element(a, m)
+    return all(m.apply(ae, c) == c for c in _fixed(m, _element(b, m)))
 
 
 def subset_report(b, a, m: Model) -> list[str]:
     """is_subset plus the three pointwise spot checks at x = a, x = b
     and (when they coincide) x = a = b."""
-    be = element_of(b, m) if isinstance(b, Atom) else b
-    ae = element_of(a, m) if isinstance(a, Atom) else a
+    be, ae = _element(b, m), _element(a, m)
     lines = [f"subset {be} <= {ae}: {'holds' if is_subset(be, ae, m) else 'fails'}"]
 
     def case(label: str, x: int):
@@ -123,8 +121,8 @@ def is_function_rel(f: int, m: Model, a: int | None = None, b: int | None = None
     n = m.size
     if not 0 <= f < n:
         raise LookupError(f"element {f} outside carrier 0..{n - 1}")
-    dom = [x for x in range(n) if a is None or m.apply(a, x) == x]
-    cod = [y for y in range(n) if b is None or m.apply(b, y) == y]
+    dom = range(n) if a is None else _fixed(m, a)
+    cod = range(n) if b is None else _fixed(m, b)
     for x in dom:
         fx = m.apply(f, x)
         seen: dict[int, int] = {}
@@ -155,6 +153,6 @@ def russell_report(m: Model) -> RussellReport:
     In any table with group structure only the identity qualifies, the
     concrete face of 'there exist objects which are not their own
     elements'."""
-    yes = tuple(c for c in range(m.size) if m.apply(c, c) == c)
-    no = tuple(c for c in range(m.size) if m.apply(c, c) != c)
+    yes = tuple(c for c in range(m.size) if c in _fixed(m, c))
+    no = tuple(c for c in range(m.size) if c not in yes)
     return RussellReport(yes, no)

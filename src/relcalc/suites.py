@@ -5,19 +5,23 @@ per-case outcomes.  Proof suites (er, pr01, dits, collapse) run the
 bidirectional search and replay every found proof through the checker;
 the dgss suite drives the free-reduction decider; the peano suite runs
 the numeral checks.
+
+The suite table `_PROOF_SUITES` is the one place a proof suite is
+defined: its system and its (case id, hypotheses, goal) rows.
+`SUITE_IDS` is read off that table, and `run_suite` runs every row the
+same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 from . import peano as peano_mod
 from .engine import (NotFound, Proof, apply_rule, check_proof, hypothesis_rules,
                      prove_equal, system_id)
 from .freegroup import verify_dgss_lemmas
 from .terms import Word, parse_equation, print_word
-
-SUITE_IDS = ("er", "pr01", "dits", "collapse", "dgss", "peano")
 
 
 @dataclass(frozen=True)
@@ -70,42 +74,39 @@ def _prove_case(case_id: str, system: str, hyp_texts, goal_text: str) -> SuiteCa
                      f"{len(res.steps)} steps, {res.nodes_expanded} nodes", res)
 
 
-_PAIRS = (("x", "y"), ("x", "z"), ("y", "z"))
+def _cancellation_cases(prefix: str, hyp: str) -> tuple:
+    """The nine cases `hyp` |- p = q, where `hyp` places the shared atom
+    s beside p and q; s runs over x, y, z, then (p, q) over the pairs."""
+    rows = product("xyz", combinations("xyz", 2))
+    return tuple((f"{prefix}{k}", (hyp.format(s=s, p=p, q=q),), f"{p} = {q}")
+                 for k, (s, (p, q)) in enumerate(rows, 1))
 
 
-def _er_cases():
-    k = 0
-    for a in ("x", "y", "z"):
-        for p, q in _PAIRS:
-            k += 1
-            yield f"er{k}", [f"{p} {a} = {q} {a}"], f"{p} = {q}"
+# The suite table: id -> (system, cases), each case a (case id,
+# hypotheses, goal) row.  It holds only strings and tuples, so
+# prove_equal and check_proof are looked up when a suite runs.
+_PROOF_SUITES = {
+    "er": ("dit+", _cancellation_cases("er", "{p} {s} = {q} {s}")),
+    "pr01": ("dit+", _cancellation_cases("pr01-", "{s} {p} = {s} {q}")),
+    "dits": ("dits", (
+        ("Lxzz", (), "x z = z"),
+        ("Lxyyx", (), "x y = y x"),
+        ("Lxxx", (), "x x = x"),
+    )),
+    "collapse": ("dit+", (
+        ("collapse1", ("x = y",), "x = z"),
+        ("collapse2", ("x = z",), "x = y"),
+        ("collapse3", ("y = z",), "x = x x"),
+        ("collapse3-seed", ("y = z",), "y = y y y"),
+    )),
+}
+
+SUITE_IDS = (*_PROOF_SUITES, "dgss", "peano")
 
 
-def _pr01_cases():
-    k = 0
-    for r in ("x", "y", "z"):
-        for a, b in _PAIRS:
-            k += 1
-            yield f"pr01-{k}", [f"{r} {a} = {r} {b}"], f"{a} = {b}"
-
-
-_DITS_CASES = (
-    ("Lxzz", "x z = z"),
-    ("Lxyyx", "x y = y x"),
-    ("Lxxx", "x x = x"),
-)
-
-_COLLAPSE_CASES = (
-    ("collapse1", ["x = y"], "x = z"),
-    ("collapse2", ["x = z"], "x = y"),
-    ("collapse3", ["y = z"], "x = x x"),
-    ("collapse3-seed", ["y = z"], "y = y y y"),
-)
-
-
-def _progression_notes(seed_case: SuiteCase, rounds: int = 4) -> list[str]:
-    """Iterate the proved one-to-three expansion at position 0; a
-    demonstration of unbounded growth, not a proof object."""
+def _progression_notes(seed_case: SuiteCase) -> list[str]:
+    """Iterate the proved one-to-three expansion four times at position
+    0; a demonstration of unbounded growth, not a proof object."""
     if not seed_case.ok or seed_case.proof is None:
         return ["progression demo skipped: seed equality not proved"]
     lhs, rhs = seed_case.proof.goal
@@ -113,7 +114,7 @@ def _progression_notes(seed_case: SuiteCase, rounds: int = 4) -> list[str]:
     out = ["progression demo (reapplying the proved expansion at position 0):"]
     w = lhs
     out.append(f"  {print_word(w)}")
-    for _ in range(rounds):
+    for _ in range(4):
         w = apply_rule(w, rule, 0, max_len=64)
         out.append(f"  {print_word(w)}")
     return out
@@ -121,18 +122,11 @@ def _progression_notes(seed_case: SuiteCase, rounds: int = 4) -> list[str]:
 
 def run_suite(suite_id: str, samples: int = 10_000, seed: int = 42) -> SuiteReport:
     sid = system_id(suite_id)
-    if sid == "er":
-        cases = [_prove_case(c, "dit+", h, g) for c, h, g in _er_cases()]
-        return SuiteReport("er", cases)
-    if sid == "pr01":
-        cases = [_prove_case(c, "dit+", h, g) for c, h, g in _pr01_cases()]
-        return SuiteReport("pr01", cases)
-    if sid == "dits":
-        cases = [_prove_case(c, "dits", [], g) for c, g in _DITS_CASES]
-        return SuiteReport("dits", cases)
-    if sid == "collapse":
-        cases = [_prove_case(c, "dit+", h, g) for c, h, g in _COLLAPSE_CASES]
-        return SuiteReport("collapse", cases, notes=_progression_notes(cases[-1]))
+    if sid in _PROOF_SUITES:
+        system, rows = _PROOF_SUITES[sid]
+        cases = [_prove_case(c, system, h, g) for c, h, g in rows]
+        notes = _progression_notes(cases[-1]) if sid == "collapse" else []
+        return SuiteReport(sid, cases, notes)
     if sid == "dgss":
         rep = verify_dgss_lemmas(samples, seed)
         cases = [SuiteCase(name, f"random instances, seed {seed}",

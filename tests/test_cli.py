@@ -78,7 +78,9 @@ def test_prove_bounds_flags(capsys):
 @pytest.mark.parametrize("flag", ["--max-nodes", "--max-depth", "--max-len"])
 def test_prove_bounds_below_one_are_exit_1(flag, capsys):
     rc, out, err = run(capsys, "prove", "--system", "dit", flag, "0", "x y = y")
-    assert (rc, out, err) == (1, "", "error: search bounds must be at least 1\n")
+    name = {"--max-nodes": "max_nodes", "--max-depth": "max_depth",
+            "--max-len": "max_word_len"}[flag]
+    assert (rc, out, err) == (1, "", f"error: {name} must be at least 1, got 0\n")
 
 
 def test_prove_json_round_trip(capsys):

@@ -148,6 +148,12 @@ def test_verify_lemmas_small_run():
     assert all(line.startswith("PASS") for line in rep.lines())
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_lemmas_rejects_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+        verify_dgss_lemmas(samples, seed=1)
+
+
 def test_verify_lemmas_deterministic_per_seed():
     a = verify_dgss_lemmas(100, seed=3)
     b = verify_dgss_lemmas(100, seed=3)

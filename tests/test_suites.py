@@ -18,7 +18,10 @@ def test_er_suite():
     rep = run_suite("er")
     assert rep.ok
     assert [c.case_id for c in rep.cases] == [f"er{k}" for k in range(1, 10)]
-    assert rep.cases[0].statement == "x x = y x |- x = y"
+    assert [c.statement for c in rep.cases] == [
+        "x x = y x |- x = y", "x x = z x |- x = z", "y x = z x |- y = z",
+        "x y = y y |- x = y", "x y = z y |- x = z", "y y = z y |- y = z",
+        "x z = y z |- x = y", "x z = z z |- x = z", "y z = z z |- y = z"]
     assert rep.summary() == "9/9 proved"
     for c in rep.cases:
         assert c.proof is not None
@@ -29,7 +32,10 @@ def test_pr01_suite():
     rep = run_suite("pr01")
     assert rep.ok
     assert [c.case_id for c in rep.cases] == [f"pr01-{k}" for k in range(1, 10)]
-    assert rep.cases[0].statement == "x x = x y |- x = y"
+    assert [c.statement for c in rep.cases] == [
+        "x x = x y |- x = y", "x x = x z |- x = z", "x y = x z |- y = z",
+        "y x = y y |- x = y", "y x = y z |- x = z", "y y = y z |- y = z",
+        "z x = z y |- x = y", "z x = z z |- x = z", "z y = z z |- y = z"]
     assert rep.summary() == "9/9 proved"
 
 
