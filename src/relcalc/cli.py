@@ -14,7 +14,7 @@ import sys
 
 from .engine import (SYSTEMS, NotFound, SearchConfig, check_proof_data,
                      proof_to_json, prove_equal, system_id)
-from .models import SIZE_CEILING, ModelQuery, format_model, iter_models
+from .models import ModelQuery, format_model, iter_models
 from .peano import as_numeral, eval_zero, verify_peano, zero_contradiction_demo
 from .suites import SUITE_IDS, run_suite
 from .terms import ParseError, parse_equation, parse_word, print_word
@@ -96,7 +96,7 @@ def _cmd_prove(args) -> int:
     if args.format == "json":
         print(proof_to_json(res))
         return 0
-    print(f"system: {res.system}")
+    print(f"system: {res.system.name}")
     for i, (l, r) in enumerate(res.hypotheses, start=1):
         print(f"hyp{i}: {print_word(l)} = {print_word(r)}")
     print(f"goal: {print_word(goal[0])} = {print_word(goal[1])}")
@@ -134,9 +134,6 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_models(args) -> int:
-    if not 1 <= args.size <= SIZE_CEILING:
-        print(f"size must be within 1..{SIZE_CEILING}", file=sys.stderr)
-        return 1
     found = iter_models(ModelQuery(args.system, args.size, limit=args.limit))
     if args.count_only:
         print(sum(1 for _ in found))

@@ -13,7 +13,10 @@ built-in systems, described once in the table `SYSTEMS`:
 Every rule applies in both directions at any position, so provable
 equality is exactly the congruence the rules generate on words.  A
 proof is a chain of steps; each step cites a rule id, a direction
-("lr" or "rl"), a 0-based position, and the full resulting word.
+("lr" or "rl"), a 0-based position, and the full resulting word.  A
+proof carries the RuleSystem it was found under and is checked against
+that system; a proof script names a built-in system by its id, which
+`make_system`, the one resolver of system ids, looks up.
 `apply_rule` is one body for both directions.  The checker replays
 every step through one forward application at the cited position: an
 lr step must rewrite the previous word to its recorded result, and an
@@ -64,10 +67,6 @@ class NoMatch(RewriteError):
 
 class EmptyResult(RewriteError):
     """The deletion would leave no atoms at all."""
-
-
-class TooLong(RewriteError):
-    """The result would exceed the configured word length bound."""
 
 
 @dataclass(frozen=True)
@@ -154,30 +153,28 @@ def system_id(name: str) -> str:
     return name.strip().lower()
 
 
-def make_system(name: str) -> RuleSystem:
-    """The system in SYSTEMS with this (case-insensitive) id."""
-    system = SYSTEMS.get(system_id(name))
-    if system is None:
-        raise ValueError(f"unknown system {name!r} (expected one of {', '.join(SYSTEM_NAMES)})")
-    return system
-
-
-def _as_system(system: RuleSystem | str) -> RuleSystem:
-    return make_system(system) if isinstance(system, str) else system
+def make_system(system: RuleSystem | str) -> RuleSystem:
+    """`system` itself if it is a RuleSystem, else the system in SYSTEMS
+    with this (case-insensitive) id."""
+    if isinstance(system, RuleSystem):
+        return system
+    found = SYSTEMS.get(system_id(system))
+    if found is None:
+        raise ValueError(f"unknown system {system!r} (expected one of {', '.join(SYSTEM_NAMES)})")
+    return found
 
 
 # ---------------------------------------------------------------------------
 # single-step application
 
 
-def apply_rule(w: Word, rule: Rule, pos: int, direction: str = LR,
-               max_len: int | None = None) -> Word:
+def apply_rule(w: Word, rule: Rule, pos: int, direction: str = LR) -> Word:
     """Apply `rule` at `pos` in the given direction.
 
     Raises NoMatch when the pattern is absent (including the rl case of
     inverse-cancel, whose inserted pair a position cannot determine;
-    enumerate those with neighbors()), EmptyResult when a deletion
-    would erase the whole word, and TooLong against `max_len`.
+    enumerate those with neighbors()) and EmptyResult when a deletion
+    would erase the whole word.
     """
     if direction not in (LR, RL):
         raise ValueError(f"direction must be {LR!r} or {RL!r}, got {direction!r}")
@@ -217,8 +214,6 @@ def apply_rule(w: Word, rule: Rule, pos: int, direction: str = LR,
         out = atoms[:pos] + atoms[pos + 2:]
     else:
         raise NoMatch(f"{rule.id}: the inserted pair is not determined by a position")
-    if max_len is not None and len(out) > max_len:
-        raise TooLong(f"result has {len(out)} atoms, bound is {max_len}")
     return Word(out)
 
 
@@ -250,7 +245,7 @@ class ProofStep:
 
 @dataclass(frozen=True)
 class Proof:
-    system: str
+    system: RuleSystem
     hypotheses: tuple[tuple[Word, Word], ...]
     goal: tuple[Word, Word]
     steps: tuple[ProofStep, ...]
@@ -274,7 +269,7 @@ def neighbors(w: Word, system: RuleSystem | str, hypotheses=(),
     equations, both directions, every position.  Order is position-major
     and rule-id-minor, with lr before rl; inverse-pair insertions are
     ordered by atom name, unmarked-first pair first."""
-    system = _as_system(system)
+    system = make_system(system)
     hypotheses = tuple(hypotheses)
     core = _Core(system, hypotheses, (w,))
     return [(s.result, s) for s in core.steps(core.expand(core.encode(w), max_len))]
@@ -310,7 +305,7 @@ def normalize(w: Word, system: RuleSystem | str, hypotheses=()) -> tuple[Word, t
     because each step strictly shrinks the shortlex key; unique normal
     forms are only guaranteed where the oriented rules are confluent
     (DIT+ is, see the tests)."""
-    system = _as_system(system)
+    system = make_system(system)
     hypotheses = tuple(hypotheses)
     core = _Core(system, hypotheses, (w,))
     steps = core.steps(core.normalize(core.encode(w))[1])
@@ -491,7 +486,7 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
     Returns a Proof that check_proof accepts, or NotFound with the node
     count and which bound (if any) stopped the search.
     """
-    system = _as_system(system)
+    system = make_system(system)
     config = config or SearchConfig()
     hypotheses = tuple(hypotheses)
     lhs, rhs = goal
@@ -499,14 +494,14 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
                       config.max_word_len)
 
     if lhs == rhs:
-        return Proof(system.name, hypotheses, goal, ())
+        return Proof(system, hypotheses, goal, ())
 
     core = _Core(system, hypotheses, goal)
     lt, rt = core.encode(lhs), core.encode(rhs)
     nl, ls = core.normalize(lt)
     nr, rs = core.normalize(rt)
     if nl == nr:
-        return Proof(system.name, hypotheses, goal, _join(core, ls, rs, rhs))
+        return Proof(system, hypotheses, goal, _join(core, ls, rs, rhs))
 
     # bidirectional BFS over encoded words; seen maps word -> None for the
     # root, else (predecessor, (word, rule id, dir, pos) of the step into it)
@@ -555,7 +550,7 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
                 b_depth += 1
             if meet is not None:
                 steps = _join(core, _walk(fwd, meet), _walk(bwd, meet), rhs)
-                return Proof(system.name, hypotheses, goal, steps, nodes_expanded=nodes)
+                return Proof(system, hypotheses, goal, steps, nodes_expanded=nodes)
             if not system.allows_inverses and (not f_frontier or not b_frontier):
                 return NotFound(nodes, None)
     except _Budget:
@@ -599,18 +594,17 @@ def check_proof(p: Proof) -> CheckResult:
     the goal's right-hand side.
     """
     try:
-        system = make_system(p.system)
-        _validate_problem(system, [p.goal[0], p.goal[1]]
+        _validate_problem(p.system, [p.goal[0], p.goal[1]]
                           + [w for h in p.hypotheses for w in h], None)
     except ValueError as e:
         return CheckResult(False, None, str(e))
-    rules = system.rule_map() | {r.id: r for r in hypothesis_rules(p.hypotheses)}
+    rules = p.system.rule_map() | {r.id: r for r in hypothesis_rules(p.hypotheses)}
 
     cur = p.goal[0]
     for i, st in enumerate(p.steps):
         rule = rules.get(st.rule)
         if rule is None:
-            return CheckResult(False, i, f"unknown rule {st.rule!r} under {system.name}")
+            return CheckResult(False, i, f"unknown rule {st.rule!r} under {p.system.name}")
         if st.dir not in (LR, RL):
             return CheckResult(False, i, f"bad direction {st.dir!r}")
         src, dst = (cur, st.result) if st.dir == LR else (st.result, cur)
@@ -641,7 +635,7 @@ def check_proof(p: Proof) -> CheckResult:
 
 def proof_to_dict(p: Proof) -> dict:
     return {
-        "system": p.system,
+        "system": p.system.name,
         "hypotheses": [f"{print_word(l)} = {print_word(r)}" for l, r in p.hypotheses],
         "goal": f"{print_word(p.goal[0])} = {print_word(p.goal[1])}",
         "steps": [
@@ -657,7 +651,8 @@ def proof_to_json(p: Proof) -> str:
 
 def proof_from_dict(data: dict) -> Proof:
     """Build a Proof from script data.  Raises ValueError on structural
-    faults; word-level faults surface later in check_proof_data."""
+    faults and on a system that is not built in; word-level faults
+    surface later in check_proof_data."""
     if not isinstance(data, dict):
         raise ValueError("proof script must be a JSON object")
     try:
@@ -684,7 +679,7 @@ def proof_from_dict(data: dict) -> Proof:
                 or isinstance(pos, bool) or not isinstance(result, str):
             raise ValueError(f"step {i} field has the wrong shape")
         steps.append(ProofStep(rule, d, pos, parse_word(result)))
-    return Proof(system, hypotheses, goal, tuple(steps))
+    return Proof(make_system(system), hypotheses, goal, tuple(steps))
 
 
 def check_proof_data(data: dict) -> CheckResult:

@@ -50,7 +50,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
 
-from .engine import GROUND, IDENTITY_ELIM, SYSTEMS, RuleSystem, _as_system
+from .engine import GROUND, IDENTITY_ELIM, SYSTEMS, RuleSystem, make_system
 
 SIZE_CEILING = 6
 
@@ -96,20 +96,25 @@ class Violation:
         return f"{self.kind} at {self.where}: {self.detail}"
 
 
-@dataclass(frozen=True)  # checked once, at construction
+@dataclass(frozen=True)
 class ModelQuery:
+    """The one place a query is checked, at construction: a bad size or
+    limit or an unknown system id raises here.  `system` is kept as the
+    RuleSystem it names."""
+
     system: str | RuleSystem
     size: int
     limit: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "system", make_system(self.system))
         # type, not isinstance: True would otherwise pass as 1, and 1.5 as a limit
         if type(self.size) is not int:
             raise ValueError(f"size must be an int, got {self.size!r}")
         if self.limit is not None and type(self.limit) is not int:
             raise ValueError(f"limit must be an int, got {self.limit!r}")
         if not 1 <= self.size <= SIZE_CEILING:
-            raise ValueError(f"size {self.size} outside 1..{SIZE_CEILING}")
+            raise ValueError(f"size must be within 1..{SIZE_CEILING}, got {self.size}")
         if self.limit is not None and self.limit < 1:
             raise ValueError(f"limit must be at least 1, got {self.limit}")
 
@@ -146,7 +151,7 @@ def check_model(m: Model, system, *, _reading=None) -> list[Violation]:
     """Every violated constraint instance, one Violation each; empty
     means the table is a model of the system.  The enumerator passes
     `_reading`, so it reads the rules once and each leaf still comes here."""
-    system = _as_system(system)
+    system = make_system(system)
     roles, reading = system.roles, _reading or _read(system)
     n, t, d = m.size, m.table, m.designated
     v: list[Violation] = []
@@ -310,10 +315,8 @@ def _pin(t, n, reading, d: dict[str, int]) -> tuple | None:
 
 def iter_models(q: ModelQuery) -> Iterator[Model]:
     """The models of `q`, lazily, in designation-major, table-lexicographic
-    order, and at most `limit` of them; the one source of models.  Not a
-    generator function, so an unknown system raises at the call."""
-    system = _as_system(q.system)
-    return islice(_search(system, q.size, _read(system)), q.limit)
+    order, and at most `limit` of them; the one source of models."""
+    return islice(_search(q.system, q.size, _read(q.system)), q.limit)
 
 
 def _search(system: RuleSystem, n: int, reading) -> Iterator[Model]:

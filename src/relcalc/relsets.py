@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import SYSTEMS, Proof, SearchConfig, _as_system, prove_equal
+from .engine import SYSTEMS, Proof, SearchConfig, make_system, prove_equal
 from .freegroup import equal_dgss
 from .models import Model
 from .terms import Atom, Word
@@ -82,7 +82,7 @@ def is_member(q: Atom, x: Word, universe="symbolic", system: str = "dgss",
         xe = eval_word(x, universe)
         return universe.apply(qe, xe) == xe
     goal = (Word((q,) + x.atoms), x)
-    if _as_system(system) is SYSTEMS["dgss"]:
+    if make_system(system) is SYSTEMS["dgss"]:
         return equal_dgss(*goal)
     res = prove_equal(goal, system, (), config)
     return True if isinstance(res, Proof) else UNDECIDED

@@ -374,9 +374,9 @@ def test_check_names_the_table_for_an_unknown_system(tmp_path, capsys):
     script = tmp_path / "p.json"
     script.write_text(json.dumps({"system": "nosuch", "hypotheses": [],
                                   "goal": "x y = y", "steps": []}))
-    rc, out, _ = run(capsys, "check", str(script))
-    assert rc == 2
-    assert out == ("rejected: unknown system 'nosuch' "
+    rc, out, err = run(capsys, "check", str(script))
+    assert (rc, out) == (1, "")
+    assert err == ("error: unknown system 'nosuch' "
                    "(expected one of DIT, DIT+, DITS, DGS, DGS+, DGSS)\n")
 
 

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import itertools
 import json
+import pathlib
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from relcalc.engine import (GROUND, IDENTITY_ELIM, INVERSE_CANCEL, LR, RL,
+import relcalc
+from relcalc.engine import (AX6, GROUND, IDENTITY_ELIM, INVERSE_CANCEL, LR, RL,
                             SYSTEM_NAMES, SYSTEMS, CheckResult, EmptyResult,
                             NoMatch, NotFound, Proof, ProofStep, RewriteError,
-                            Rule, SearchConfig, TooLong, apply_rule,
+                            Rule, RuleSystem, SearchConfig, apply_rule,
                             check_proof, check_proof_data,
                             hypothesis_rules, make_system, neighbors,
                             normalize, proof_from_dict, proof_to_dict,
@@ -48,6 +51,8 @@ def test_system_flags():
 def test_make_system_looks_up_the_one_table():
     assert make_system("Dit+") is SYSTEMS["dit+"]
     assert make_system(" DGSS ") is SYSTEMS["dgss"]
+    mine = RuleSystem("MINE", (AX6,), ("x", "y", "z"))
+    assert make_system(mine) is mine  # a system passes through unchanged
     assert SYSTEM_NAMES == ("DIT", "DIT+", "DITS", "DGS", "DGS+", "DGSS")
     assert [s.name.lower() for s in SYSTEMS.values()] == list(SYSTEMS)
     assert [s.left_inverses for s in SYSTEMS.values()] == [False] * 3 + [True] * 3
@@ -161,8 +166,6 @@ def test_rl_application_is_the_inverse_of_lr(rule, data):
 
 def test_apply_rule_bounds_and_direction():
     ax7 = _rule("dit", "ax7")
-    with pytest.raises(TooLong):
-        apply_rule(W("x"), ax7, 0, RL, max_len=1)
     with pytest.raises(ValueError):
         apply_rule(W("x y"), ax7, 0, "sideways")
 
@@ -243,8 +246,10 @@ def _reference_neighbors(w, system, hypotheses=(), max_len=16):
                             out.append((w2, ProofStep(r.id, RL, pos, w2)))
                     continue
                 try:
-                    w2 = apply_rule(w, r, pos, d, max_len=max_len)
+                    w2 = apply_rule(w, r, pos, d)
                 except RewriteError:
+                    continue
+                if len(w2) > max_len:
                     continue
                 out.append((w2, ProofStep(r.id, d, pos, w2)))
     return out
@@ -334,7 +339,7 @@ def test_normalize_ditplus():
     assert nf == W("x")
     assert [s.rule for s in steps] == ["Lzxz", "ax7"]
     # the step chain is an honest proof of w = nf
-    p = Proof("DIT+", (), (W("z x y"), nf), steps)
+    p = Proof(make_system("dit+"), (), (W("z x y"), nf), steps)
     assert check_proof(p).ok
 
 
@@ -517,7 +522,7 @@ def test_check_rejects_wrong_final_word():
 
 
 def test_check_rejects_empty_proof_of_distinct_words():
-    res = check_proof(Proof("DIT", (), (W("x"), W("y")), ()))
+    res = check_proof(Proof(make_system("dit"), (), (W("x"), W("y")), ()))
     assert not res.ok
 
 
@@ -526,11 +531,12 @@ def test_check_rejects_bad_direction_and_system():
     bad = Proof(p.system, p.hypotheses, p.goal,
                 (ProofStep("ax7", "up", 0, p.steps[0].result),))
     assert not check_proof(bad).ok
-    assert not check_proof(Proof("zzz", (), (W("x"), W("x")), ())).ok
+    with pytest.raises(ValueError, match="^unknown system 'zzz'"):
+        proof_from_dict({**proof_to_dict(p), "system": "zzz"})
 
 
 def test_check_rejects_marks_under_markless_system():
-    res = check_proof(Proof("DIT", (), (W("a'"), W("a'")), ()))
+    res = check_proof(Proof(make_system("dit"), (), (W("a'"), W("a'")), ()))
     assert not res.ok
 
 
@@ -540,7 +546,7 @@ def test_check_result_truth_is_its_verdict():
 
 
 def _script(system, goal, steps):
-    return Proof(system, (), parse_equation(goal),
+    return Proof(make_system(system), (), parse_equation(goal),
                  tuple(ProofStep(r, d, pos, W(res)) for r, d, pos, res in steps))
 
 
@@ -567,8 +573,8 @@ def _script(system, goal, steps):
      (False, 0, "reverse step does not replay: cancelling the whole word would leave nothing")),
     ("DIT", "z y = y", [("ax7", LR, 0, "x")],
      (False, None, "chain ends at 'x', goal right-hand side is 'y'")),
-    ("zzz", "x = x", [],
-     (False, None, "unknown system 'zzz' (expected one of DIT, DIT+, DITS, DGS, DGS+, DGSS)")),
+    ("DIT", "x = y", [("hyp1", LR, 0, "y")],  # a hypothesis the proof does not state
+     (False, 0, "unknown rule 'hyp1' under DIT")),
     ("DIT", "a' = a'", [],
      (False, None, "inverse marks in \"a'\" need a system with the inverse-cancel rule, not DIT")),
 ])
@@ -610,6 +616,47 @@ def test_script_structural_errors():
     ]:
         with pytest.raises(ValueError):
             proof_from_dict(corrupt)
+
+
+def test_script_names_a_built_in_system():
+    data = {**proof_to_dict(_proved("z y = x")), "system": "zzz"}
+    why = "^unknown system 'zzz' \\(expected one of DIT, DIT\\+, DITS, DGS, DGS\\+, DGSS\\)$"
+    with pytest.raises(ValueError, match=why):
+        proof_from_dict(data)
+    with pytest.raises(ValueError, match=why):
+        check_proof_data(data)
+
+
+# ---------------------------------------------------------------------------
+# user-stated systems: a proof is checked under the system it was found under
+
+
+def test_proof_under_a_custom_system_checks():
+    mine = RuleSystem("MINE", (AX6,), ("x", "y", "z"))
+    p = prove_equal(parse_equation("x y = y"), mine)
+    assert isinstance(p, Proof) and p.system is mine and len(p.steps) == 1
+    assert check_proof(p).ok
+    assert proof_to_dict(p)["system"] == "MINE"
+
+
+def test_custom_system_named_dit_is_checked_against_its_own_rules():
+    mine = RuleSystem("DIT", SYSTEMS["dgss"].rules, ("e",), left_inverses=True)
+    p = prove_equal(parse_equation("a a' b = b"), mine)
+    assert isinstance(p, Proof) and p.system is mine
+    assert check_proof(p).ok
+    # the same steps under the built-in DIT are rejected
+    res = check_proof(dataclasses.replace(p, system=SYSTEMS["dit"]))
+    assert not res.ok and "inverse-cancel" in res.reason
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    src = pathlib.Path(relcalc.__file__).parent
+    private = [(path.name, alias.name)
+               for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 # ---------------------------------------------------------------------------

@@ -182,14 +182,15 @@ def test_count_models_honours_limit():
 
 
 def test_query_is_checked_at_construction():
-    with pytest.raises(ValueError, match=r"^size 7 outside 1\.\.6$"):
+    with pytest.raises(ValueError, match=r"^size must be within 1\.\.6, got 7$"):
         ModelQuery("dit", 7)
     with pytest.raises(ValueError, match="^limit must be at least 1, got 0$"):
         ModelQuery("dit", 3, limit=0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         ModelQuery("dit", 3).size = 7
-    with pytest.raises(ValueError, match="unknown system"):
-        iter_models(ModelQuery("nope", 3))  # at the call, before any model is asked for
+    with pytest.raises(ValueError, match="^unknown system 'nope'"):
+        ModelQuery("nope", 3)
+    assert ModelQuery(" DIT ", 3).system is SYSTEMS["dit"]
 
 
 def _peak(call) -> int:

@@ -72,17 +72,17 @@ def test_broken_successor_is_caught(monkeypatch):
         return Word((ONE,) + w.atoms)
 
     monkeypatch.setattr(peano, "succ", bad_succ)
-    rep = peano.verify_peano(8, random_tables=50)
+    rep = peano.verify_peano(8)
     assert not rep.all_passed
     assert [it.ok for it in rep.items] == [True, True, True, False, True]
 
 
 def test_induction_rejects_open_tables():
-    rep = verify_peano(8, random_tables=50, seed=1)
+    rep = verify_peano(8)
     item5 = rep.items[4]
     assert item5.ok
     tested, rejected = map(int, re.match(r"(\d+) tables, (\d+) rejected", item5.detail).groups())
-    assert tested == 50 + 8 + 1
+    assert tested == 1000 + 8 + 1
     # only the all-true table can satisfy the hypothesis
     assert tested - rejected >= 1
 

@@ -60,12 +60,12 @@ def test_collapse_suite_and_progression():
 
 
 def test_dgss_suite():
-    rep = run_suite("dgss", samples=200, seed=3)
+    rep = run_suite("dgss")
     assert rep.ok
     assert rep.verb == "passed"
     assert {c.case_id for c in rep.cases} == {
         "lm2a", "lm2b", "lm2c", "lm2d", "pr2e", "pr2f"}
-    assert all(c.detail == "200/200" for c in rep.cases)
+    assert all(c.detail == "10000/10000" for c in rep.cases)
     assert rep.summary() == "6/6 passed"
 
 
