@@ -634,6 +634,11 @@ def check_proof(p: Proof) -> CheckResult:
 
 
 def proof_to_dict(p: Proof) -> dict:
+    """The script form of `p`.  A script names its system, so `p` must be
+    under the built-in system of that name; ValueError otherwise."""
+    if SYSTEMS.get(system_id(p.system.name)) != p.system:
+        raise ValueError(f"a proof script names only its system, and {p.system.name!r} "
+                         f"is not the built-in system of that name")
     return {
         "system": p.system.name,
         "hypotheses": [f"{print_word(l)} = {print_word(r)}" for l, r in p.hypotheses],

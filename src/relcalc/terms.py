@@ -17,6 +17,16 @@ sequence as a :class:`Word` and everything downstream of the parser
 works on words; regrouping steps never appear in proofs because they
 are erased here.
 
+Most texts are bare words such as ``a b' a c``, so ``parse_word`` first
+asks whether the text holds only name characters, apostrophes and the
+four blanks (space, tab, CR, LF).  Such a text is split at its blanks
+and each distinct ``name`` or ``name'`` token becomes one atom.  Every
+other text, and a token the split cannot read as one atom (``'x``,
+``x''``, ``x'y``), goes to the character lexer, as does a text with no
+token at all.  The split path therefore never reports an error: each
+:class:`ParseError`, with its message and offset, comes from the lexer,
+the same for ``parse`` and ``parse_word``.
+
 The apostrophe marks a formal inverse.  Only the free-reduction
 decider (and the proof engine when the active system carries the
 inverse-cancel rule) gives it meaning; every other consumer treats a
@@ -47,6 +57,9 @@ __all__ = [
 _NAME_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 )
+_BLANKS = " \t\r\n"
+# what a bracket-free word may hold; `parse_word` splits such text itself
+_WORD_TEXT = _NAME_CHARS | frozenset("'" + _BLANKS)
 
 
 class ParseError(ValueError):
@@ -131,7 +144,7 @@ def _lex(text: str):
     i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c in " \t\r\n":
+        if c in _BLANKS:
             i += 1
             continue
         if c in _OPEN:
@@ -237,6 +250,18 @@ def flatten(t: TermTree) -> Word:
 
 def parse_word(text: str) -> Word:
     """``flatten(parse(text))``, with the same errors, built without the tree."""
+    if _WORD_TEXT.issuperset(text):
+        tokens = text.split()
+        atoms = dict.fromkeys(tokens)
+        for token in atoms:
+            inverted = token[-1] == "'"
+            name = token[:-1] if inverted else token
+            if not name or "'" in name:
+                break  # 'x, x'' or x'y: the lexer reads or rejects it
+            atoms[token] = Atom(name, inverted)
+        else:
+            if tokens:
+                return Word(tuple(map(atoms.__getitem__, tokens)))
     return Word(tuple(_parse(text)))
 
 

@@ -299,6 +299,11 @@ def test_peano_verify_and_demo(capsys):
     assert out.splitlines()[-1] == "hence 0 cannot be a numeral"
 
 
+def test_peano_verify_above_the_ceiling_is_exit_1(capsys):
+    rc, out, err = run(capsys, "peano", "verify", "--max", "1000")
+    assert (rc, out, err) == (1, "", "error: k_max must be at most 256, got 1000\n")
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["prove"],

@@ -636,7 +636,9 @@ def test_proof_under_a_custom_system_checks():
     p = prove_equal(parse_equation("x y = y"), mine)
     assert isinstance(p, Proof) and p.system is mine and len(p.steps) == 1
     assert check_proof(p).ok
-    assert proof_to_dict(p)["system"] == "MINE"
+    # a script names only the system, and no built-in system is MINE
+    with pytest.raises(ValueError, match="'MINE'"):
+        proof_to_dict(p)
 
 
 def test_custom_system_named_dit_is_checked_against_its_own_rules():
@@ -647,6 +649,9 @@ def test_custom_system_named_dit_is_checked_against_its_own_rules():
     # the same steps under the built-in DIT are rejected
     res = check_proof(dataclasses.replace(p, system=SYSTEMS["dit"]))
     assert not res.ok and "inverse-cancel" in res.reason
+    # so no script may name it as DIT
+    with pytest.raises(ValueError, match="'DIT' is not the built-in system"):
+        proof_to_json(p)
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():

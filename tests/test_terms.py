@@ -37,6 +37,9 @@ def test_word_basics():
     ("((x))", "x"),
     ("a' b", "a' b"),
     ("foo_1 bar2", "foo_1 bar2"),
+    ("x'y", "x' y"),       # a mark ends its atom
+    ("x' y'", "x' y'"),
+    (" \tx\r\ny ", "x y"),
 ])
 def test_parse_flatten_print(text, expected):
     assert print_word(parse_word(text)) == expected
@@ -118,6 +121,16 @@ _terms = st.recursive(
     max_leaves=20)
 _texts = st.lists(_terms, min_size=1, max_size=4).map(" ".join)
 
+# Bracket-free texts: atoms joined by runs of the four blanks, with optional
+# leading and trailing blanks; parse_word splits these without the lexer.
+_blank_runs = st.text(" \t\r\n", max_size=3)
+_flat_texts = st.builds(
+    lambda lead, pairs, trail: lead + "".join(str(a) + sep for a, sep in pairs).rstrip() + trail,
+    _blank_runs,
+    st.lists(st.tuples(_atoms, st.text(" \t\r\n", min_size=1, max_size=3)),
+             min_size=1, max_size=12),
+    _blank_runs)
+
 
 def _outcome(parser, text):
     try:
@@ -126,16 +139,18 @@ def _outcome(parser, text):
         return (e.message, e.offset)
 
 
-@given(_texts)
+@given(_texts | _flat_texts)
 def test_parse_word_is_flatten_of_parse(text):
     assert parse_word(text) == flatten(parse(text))
 
 
-_edits = st.lists(st.tuples(st.integers(0, 200), st.sampled_from(["", *"()[]'$ "])),
+# str.split() also splits at \x0b, \x0c, \x85 and \xa0, which the lexer rejects
+_edits = st.lists(st.tuples(st.integers(0, 200),
+                            st.sampled_from(["", *"()[]'$ \t\n\r\x0b\x0c\x85\xa0"])),
                  min_size=1, max_size=3)
 
 
-@given(_texts, _edits)
+@given(_texts | _flat_texts, _edits)
 def test_parse_word_fails_like_parse(text, edits):
     # damage a well-formed text: insert a character, or ("") delete one
     for pos, ch in edits:
