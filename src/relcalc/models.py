@@ -25,10 +25,14 @@ or a*(b*c), and its tied cells.  Each goes through one forcing rule,
 `_equate`: a known cell fills an empty cell it must equal and queues
 it, and two known cells that differ clash.  Associativity sites skip
 equal cells, the common case, without a call.  Propagation also prunes
-the two existential obligations as soon as they can no longer hold: a
-column with no cell left that is empty or e, under `left_inverses`,
-and an element y with no z left whose z*y and y*z are both empty or e,
-under inverse-cancel.  Pruning only cuts subtrees without models;
+on two derived constraints.  When the reading has ("left", (e,)), its
+models are associative with a left identity and left inverses, so
+each is a group and its rows and columns are permutations: a cell
+i*j = v fails as soon as v stands elsewhere in row i or column j.  A
+full column without e repeats a value, so this also covers the
+left-inverse obligation.  Under
+inverse-cancel, an element y fails once no z is left whose z*y and y*z
+are both empty or e.  Pruning only cuts subtrees without models;
 `check_model` still judges every complete table before it is emitted.
 
 Only the first designation, roles -> 0..k-1, is searched; every later
@@ -224,19 +228,22 @@ def _equate(t, trail, p: int, q: int, r: int, s: int) -> bool:
 def _propagate(t: list[list[int | None]], n: int, trail: list[tuple[int, int]],
                watch: tuple) -> bool:
     """Close the partial table under forced consequences, working off
-    `trail` as a queue: each cell on it is checked against the
-    associativity triples that mention it, its tied cells and the
-    existential obligations, and every cell this places is pushed on
-    `trail` in turn, so the caller can undo them.  Returns False on
-    contradiction, or as soon as an element is left without the inverse
-    `watch` asks for.  The set of cells forced does not depend on the
-    order the queue is worked in."""
+    `trail` as a queue: each cell on it is checked against its row and
+    column when `watch` has a left-inverse e, the associativity triples
+    that mention it, its tied cells and the two-sided inverses, and
+    every cell this places is pushed on `trail` in turn, so the caller
+    can undo them.  Returns False on contradiction: a repeated value in
+    a row or column of a group, two cells that must agree and differ, or
+    an element left without a two-sided inverse.  The set of cells
+    forced does not depend on the order the queue is worked in."""
     ties, left, inverse = watch
     rows = range(n)
     for i, j in trail:          # also visits the cells pushed meanwhile
         ri, rj = t[i], t[j]
         v = ri[j]
         rv = t[v]
+        if left is not None and (ri.count(v) > 1 or [r[j] for r in t].count(v) > 1):
+            return False        # a group's rows and columns are permutations
         for c in rows:          # (i*j)*c = v*c against i*(j*c)
             jc = rj[c]
             if jc is not None and rv[c] != ri[jc] and not _equate(t, trail, v, c, i, jc):
@@ -261,12 +268,6 @@ def _propagate(t: list[list[int | None]], n: int, trail: list[tuple[int, int]],
         for p, q in ties.get((i, j), ()):
             if not _equate(t, trail, p, q, i, j):
                 return False
-        if v != left and left is not None:     # some z*j may still be e
-            for r in t:
-                if r[j] is None or r[j] == left:
-                    break
-            else:
-                return False
         if v != inverse and inverse is not None:   # some z with z*y = y*z = e
             for y in {i, j}:
                 ry = t[y]
@@ -283,9 +284,10 @@ def _pin(t, n, reading, d: dict[str, int]) -> tuple | None:
     """Place the cells the equations pin under designation `d`, or return
     None if two pins disagree.  Otherwise return what `_propagate`
     watches: a map from each tied cell to the cells tied to it, the e
-    that every column must still be able to hold ("left"), and the e
-    that every element needs a two-sided inverse for ("inverse"); either
-    e is None when the reading does not ask for it."""
+    of left inverses ("left"), whose presence makes every row and column
+    a permutation, and the e that every element needs a two-sided
+    inverse for ("inverse"); either e is None when the reading does not
+    ask for it."""
     cells, ties, left, inverse = [], {}, None, None
     for kind, names in reading:
         if kind == "pin":

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
+import math
 import os
 import tracemalloc
 
@@ -14,7 +15,7 @@ from relcalc.cli import main
 from relcalc.engine import (AX6, AX9A, GROUND, LRXR, SYSTEMS, Rule, RuleSystem,
                             make_system)
 from relcalc.models import (Model, ModelQuery, Violation, _designations, _fill, _pin,
-                            _propagate, _read, check_model, count_models,
+                            _propagate, _read, _search, check_model, count_models,
                             enumerate_models, find_min_model, format_model, iter_models)
 from relcalc.terms import parse_word
 
@@ -119,12 +120,34 @@ FROZEN_COUNTS = {
     # Z5 is the only group of order 5: 5!/|Aut Z5| = 120/4 labelled copies
     ("dgs", 5): 30, ("dgs+", 5): 30, ("dgss", 5): 30,
     ("dit+", 5): 5400, ("dits", 5): 5400,
+    ("dgs", 6): 480, ("dgs+", 6): 480, ("dgss", 6): 480,
 }
 
 
 @pytest.mark.parametrize("system,n", sorted(FROZEN_COUNTS))
 def test_frozen_model_counts(system, n):
     assert count_models(system, n) == FROZEN_COUNTS[(system, n)]
+
+
+# |Aut G| for each group G of order n
+AUTOMORPHISMS = {
+    6: (2, 6),  # Z6, S3
+    7: (6,),  # Z7
+    8: (4, 8, 168, 8, 24),  # Z8, Z4xZ2, Z2^3, D4, Q8
+}
+
+
+@pytest.mark.parametrize("system,n", [
+    *((s, n) for n in (6, 7) for s in ("dgs", "dgs+", "dgss")),
+    ("dgs", 8),
+])
+def test_group_counts_past_the_ceiling_match_the_closed_form(system, n):
+    """The group tables on 0..n-1 number n!/|Aut G| summed over the
+    groups G of order n.  `_search` is called below ModelQuery, whose
+    size ceiling is 6."""
+    s = SYSTEMS[system]
+    assert sum(1 for _ in _search(s, n, _read(s))) == \
+        sum(math.factorial(n) // a for a in AUTOMORPHISMS[n])
 
 
 def test_every_enumerated_model_passes_check():
@@ -404,9 +427,10 @@ def test_rules_that_are_not_table_equations_are_rejected(system):
 # propagation from a queue, against the full rescan it replaced
 
 
-def _reference_propagate(t, n, trail, ties) -> bool:
+def _reference_propagate(t, n, trail, ties, latin=False) -> bool:
     """_propagate as it was: rescan every associativity triple and every
-    tie until nothing changes."""
+    tie until nothing changes.  With `latin`, a closed table whose row or
+    column repeats a value is a contradiction too."""
 
     def put(i, j, val):
         cur = t[i][j]
@@ -447,6 +471,11 @@ def _reference_propagate(t, n, trail, ties) -> bool:
                 put(i1, j1, w)
                 changed = True
             elif u != w:
+                return False
+    if latin:
+        for line in t + [list(c) for c in zip(*t)]:
+            known = [v for v in line if v is not None]
+            if len(known) != len(set(known)):
                 return False
     return True
 
@@ -631,13 +660,16 @@ def _closures_agree(ref, new, trail, ties, watch, reading, d) -> bool:
     from the same table: both close it to the same table, with every
     cell filled on the way pushed on `trail`, or `new` reports a
     contradiction exactly when `ref` does or leaves an element without
-    its inverse.  Returns whether the closure succeeded."""
+    its inverse.  A reading with left inverses makes every model a
+    group, so there `ref` also fails on a repeated value in a row or
+    column.  Returns whether the closure succeeded."""
     n = len(ref)
     def filled():
         return [(i, j) for i in range(n) for j in range(n) if new[i][j] is not None]
     before = [c for c in filled() if c not in trail]
     ok = _propagate(new, n, trail, watch)
-    if _reference_propagate(ref, n, [], ties) and not _stranded(ref, n, reading, d):
+    latin = any(kind == "left" for kind, _ in reading)
+    if _reference_propagate(ref, n, [], ties, latin) and not _stranded(ref, n, reading, d):
         assert ok and new == ref
         assert sorted(before + trail) == filled()
         return True
@@ -671,23 +703,50 @@ def test_queue_closure_matches_the_full_rescan(case, data):
 
 
 @pytest.mark.parametrize("t,placed", [
-    # row 2 loses its last e-or-empty cell facing an empty cell of column 2
-    ([[0, 1, 2], [1, None, None], [2, None, 2]], (2, 1, 1)),
-    # column 3 does, facing an empty cell of row 3
-    ([[0, 1, 2, 3], [1, None, None, None], [2, None, None, None], [3, 3, None, 3]],
-     (2, 3, 3)),
+    # 1*3 = e makes 3 the inverse of 1, so 3*1 = 2 strands 1
+    ([[0, 1, 2, 3], [1, None, None, 0], [2, None, None, None], [3, None, None, None]],
+     (3, 1, 2)),
+    # 3*1 = e, so 1*3 = 2 does
+    ([[0, 1, 2, 3], [1, None, None, None], [2, None, None, None], [3, 0, None, None]],
+     (1, 3, 2)),
 ])
 def test_a_placement_that_strands_an_inverse_fails_at_once(t, placed):
+    """A closed Latin table and a placement that repeats nothing in its
+    row or column: the closure by associativity alone strands an
+    inverse, and `_propagate` fails on it, with or without the Latin
+    rule.  (A column left without e repeats a value, so it is a Latin
+    clash; see test_a_repeat_in_a_row_or_column_fails_at_once.)"""
     n, reading, d = len(t), _read(SYSTEMS["dgss"]), {"e": 0}
     watch = _pin(t, n, reading, d)
     closed = [row[:] for row in t]
     assert _propagate(t, n, [(i, j) for i in range(n) for j in range(n)
                              if t[i][j] is not None], watch)
-    assert t == closed
+    assert t == closed and _reference_propagate(closed, n, [], [], latin=True)
     i, j, v = placed
+    assert v not in t[i] and v not in [r[j] for r in t]
     t[i][j] = closed[i][j] = v
     assert _reference_propagate(closed, n, [], []) and _stranded(closed, n, reading, d)
-    assert not _propagate(t, n, [(i, j)], watch)
+    ties, _, inverse = watch
+    for w in (watch, (ties, None, inverse)):
+        assert not _propagate([row[:] for row in t], n, [(i, j)], w)
+
+
+@pytest.mark.parametrize("placed", [(1, 3, 2), (3, 1, 2)], ids=["row", "column"])
+def test_a_repeat_in_a_row_or_column_fails_at_once(placed):
+    """Under dgs every model is a group, so 1*3 = 2 (2 is already 1*1)
+    and 3*1 = 2 (2 is already in column 1) fail as placed; without the
+    left-inverse e in the watch, associativity alone admits both."""
+    n, reading, d = 4, _read(SYSTEMS["dgs"]), {"e": 0}
+    t = [[0, 1, 2, 3], [None, 2, None, None], [None] * 4, [None] * 4]
+    watch = _pin(t, n, reading, d)
+    closed = [row[:] for row in t]
+    assert watch[1] == 0
+    assert _propagate(t, n, [(i, j) for i in range(n) for j in range(n)
+                             if t[i][j] is not None], watch) and t == closed
+    i, j, v = placed
+    t[i][j] = v
+    assert not _propagate([row[:] for row in t], n, [(i, j)], watch)
+    assert _propagate(t, n, [(i, j)], (watch[0], None, watch[2]))
 
 
 @pytest.mark.parametrize("t,placed", [
