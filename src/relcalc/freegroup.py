@@ -35,8 +35,13 @@ IDENTITY = "e"
 def _encode(w: Word, index: dict[str, int]) -> list[int]:
     """The codes of `w`; names not yet in `index` get the next index.
     `index` starts as ``{identity: -1}``."""
-    number = index.setdefault
-    return [2 * number(a.name, len(index)) + a.inverted for a in w.atoms]
+    codes = []
+    for a in w.atoms:
+        i = index.get(a.name)
+        if i is None:
+            i = index[a.name] = len(index)
+        codes.append(2 * i + a.inverted)
+    return codes
 
 
 def _reduce(codes: list[int]) -> list[int]:

@@ -11,6 +11,17 @@ cells, identity-elim makes row e (needs="right") or column e
 inverses.  A system with `left_inverses` also asks that every y has
 some z with z*y = e, which no rule states.
 
+`check_model` decides associativity a row at a time with whole-row
+string operations, with element k as the character chr(k): put through
+row a as a translation table, the whole table reads a*(b*c) for every b
+and c, and row a put through the row strings reads (a*b)*c.  All rows
+are compared at once first, and the triple loop that reports each
+violation runs only over the rows that differ, so an associative table
+costs a few C-level calls per row instead of n*n interpreted steps.
+Characters run far past 255, so the test has no size limit; past 127,
+though, `str.translate` leaves its cached ASCII path, and the test
+costs about what the loop does.
+
 The enumerator iterates designation assignments in ascending order and
 fills table cells row-major, propagating forced values: equations pin
 or tie cells, and any associativity instance with three of its four
@@ -42,17 +53,20 @@ designation to designation v (pi = v followed by the other elements in
 ascending order) preserves pins, ties, identity rows and columns, left
 and two-sided inverses and associativity: T is a model under the first
 designation exactly when T'[a][b] = pi[T[pi^-1 a][pi^-1 b]] is one
-under v, and pi is a bijection on tables.  Each designation's
-relabelled tables are sorted, which keeps the order designation-major,
-then table-lexicographic, and `check_model` still judges every one of
-them before it is emitted.
+under v, and pi is a bijection on tables.  The first designation's
+models are kept as one itemgetter per row, so a relabelled row is two
+C-level calls.  Each designation's relabelled tables are sorted, which
+keeps the order designation-major, then table-lexicographic, and
+`Model` validates and `check_model` judges every one of them before it
+is emitted.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice, permutations, starmap
+from operator import itemgetter
 
 from .engine import GROUND, IDENTITY_ELIM, SYSTEMS, RuleSystem, make_system
 
@@ -69,15 +83,15 @@ class Model:
         n = self.size
         if type(n) is not int or n < 1:
             raise ValueError(f"model size must be an int of at least 1, got {n!r}")
-        rows = tuple(tuple(row) for row in self.table)
-        if len(rows) != n or any(len(r) != n for r in rows):
+        rows = tuple(map(tuple, self.table))
+        if len(rows) != n or set(map(len, rows)) != {n}:
             raise ValueError(f"malformed table: expected {n}x{n}")
         # type, not isinstance: bool is an int subclass, but False is not 0
         for r in rows:
             for v in r:
                 if type(v) is not int or not 0 <= v < n:
                     raise ValueError(f"malformed table: entry {v!r} outside 0..{n - 1}")
-        object.__setattr__(self, "table", rows)
+        self.table = rows
         for k, v in self.designated.items():
             if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"designated {k}={v!r} outside 0..{n - 1}")
@@ -151,15 +165,34 @@ def _read(system: RuleSystem) -> list[tuple[str, tuple[str, ...]]]:
     return out
 
 
+def _nonassociative_rows(t) -> list[int]:
+    """The rows a of table `t` that hold some (a*b)*c != a*(b*c), by the
+    string test of the module docstring: with element k as the
+    character chr(k), the table put through row a reads a*(b*c) for
+    every b and c, and row a put through the row strings, which map k
+    to row k, reads (a*b)*c.  Every table the enumerator emits is
+    associative, so all rows are compared at once first."""
+    rows = list(map("".join(map(chr, range(len(t)))).translate, t))
+    flat = "".join(rows)
+    if flat.translate(rows) == "".join(map(flat.translate, t)):
+        return []
+    return [a for a, (r, ta) in enumerate(zip(rows, t))
+            if r.translate(rows) != flat.translate(ta)]
+
+
 def check_model(m: Model, system, *, _reading=None) -> list[Violation]:
     """Every violated constraint instance, one Violation each; empty
-    means the table is a model of the system.  The enumerator passes
-    `_reading`, so it reads the rules once and each leaf still comes here."""
+    means the table is a model of the system.  Associativity is decided
+    a row at a time by `_nonassociative_rows`, and the triple loop that
+    reports each violation runs only over the rows it names.  The
+    enumerator passes `_reading`, so it reads the rules once and each
+    leaf still comes here."""
     system = make_system(system)
     roles, reading = system.roles, _reading or _read(system)
     n, t, d = m.size, m.table, m.designated
     v: list[Violation] = []
-    for a, ta in enumerate(t):
+    for a in _nonassociative_rows(t):     # only these rows can hold violations
+        ta = t[a]
         for b, tb in enumerate(t):
             tab = t[ta[b]]
             for c in range(n):
@@ -174,6 +207,7 @@ def check_model(m: Model, system, *, _reading=None) -> list[Violation]:
     for p, q in combinations(roles, 2):
         if d[p] == d[q]:
             v.append(Violation("distinct", (p, q), f"{p} and {q} both denote {d[p]}"))
+    cols = ()
     for kind, names in reading:
         if kind == "pin":
             p, q, c = names
@@ -186,7 +220,7 @@ def check_model(m: Model, system, *, _reading=None) -> list[Violation]:
             if pq != rs:
                 v.append(Violation("equation", (d[p], d[q]), f"{p}*{q}={pq} but {r}*{s}={rs}"))
         else:
-            (name,), e, cols = names, d[names[0]], tuple(zip(*t))
+            (name,), e, cols = names, d[names[0]], cols or tuple(zip(*t))
             for y in range(n):
                 if kind == "row" and t[e][y] != y:
                     v.append(Violation("identity", (y,), f"{name}*{y}={t[e][y]}, expected {y}"))
@@ -334,18 +368,20 @@ def _search(system: RuleSystem, n: int, reading) -> Iterator[Model]:
     if watch is None or not _propagate(t, n, [(i, j) for i in range(n) for j in range(n)
                                              if t[i][j] is not None], watch):
         return
-    tables = []
+    tables = []     # each model of the first designation as a getter per row
     for table in _fill(t, n, 0, watch):
         m = Model(n, table, dict(first))
         if not check_model(m, system, _reading=reading):  # propagation never replaces the final check
-            tables.append(table)
+            tables.append(tuple(starmap(itemgetter, table)))
             yield m
-    for d in designations:
+    for d in designations:      # only when n > 1, so each itemgetter below gives tuples
         values = tuple(d.values())
         pi = values + tuple(a for a in range(n) if a not in values)
-        inv = sorted(range(n), key=pi.__getitem__)
-        for table in sorted(tuple(tuple([pi[tab[a][b]] for b in inv]) for a in inv)
-                            for tab in tables):
+        inv = itemgetter(*sorted(range(n), key=pi.__getitem__))
+        # row a of the relabelled table is pi[T[inv a][inv b]] for every b:
+        # inv picks T's rows, each row's getter reads its values off pi,
+        # and inv puts them in column order
+        for table in sorted(tuple([inv(row(pi)) for row in inv(rows)]) for rows in tables):
             m = Model(n, table, dict(d))
             if not check_model(m, system, _reading=reading):
                 yield m

@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from relcalc import models
 from relcalc.cli import main
-from relcalc.engine import (AX6, AX9A, GROUND, LRXR, SYSTEMS, Rule, RuleSystem,
+from relcalc.engine import (AX6, AX9A, GROUND, LRXR, LZXZ, SYSTEMS, Rule, RuleSystem,
                             make_system)
-from relcalc.models import (Model, ModelQuery, Violation, _designations, _fill, _pin,
-                            _propagate, _read, _search, check_model, count_models,
+from relcalc.models import (Model, ModelQuery, Violation, _designations, _fill,
+                            _nonassociative_rows, _pin, _propagate, _read, _search,
+                            check_model, count_models,
                             enumerate_models, find_min_model, format_model, iter_models)
 from relcalc.terms import parse_word
 
@@ -23,25 +24,35 @@ Z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^model size must be an int of at least 1, got 0$"):
         Model(0, (), {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^malformed table: expected 2x2$"):
         Model(2, ((0, 1),), {})                  # missing row
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^malformed table: expected 2x2$"):
+        Model(2, ((0, 1), (1,)), {})             # short row
+    with pytest.raises(ValueError, match=r"^malformed table: expected 2x2$"):
+        Model(2, ((0, 1), (1, 0, 1)), {})        # long row
+    with pytest.raises(ValueError, match=r"^malformed table: entry 2 outside 0\.\.1$"):
         Model(2, ((0, 1), (1, 2)), {})           # entry out of range
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^malformed table: entry -1 outside 0\.\.1$"):
+        Model(2, ((0, -1), (1, 2)), {})          # the first bad entry, row-major
+    with pytest.raises(ValueError, match=r"^designated e=2 outside 0\.\.1$"):
         Model(2, ((0, 1), (1, 0)), {"e": 2})     # designation out of range
-    with pytest.raises(ValueError):              # bool is an int, not an element
+    with pytest.raises(ValueError,               # bool is an int, not an element
+                       match=r"^malformed table: entry False outside 0\.\.1$"):
         Model(2, ((False, True), (True, False)), {"e": False})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^malformed table: entry True outside 0\.\.1$"):
+        Model(2, ((0, True), (1, 0)), {"e": 0})
+    with pytest.raises(ValueError, match=r"^malformed table: entry False outside 0\.\.1$"):
         Model(2, ((False, True), (True, False)), {"e": 0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^designated e=False outside 0\.\.1$"):
         Model(2, ((0, 1), (1, 0)), {"e": False})
-    with pytest.raises(ValueError):              # would index the table later
+    with pytest.raises(ValueError,               # would index the table later
+                       match=r"^designated e=0\.0 outside 0\.\.1$"):
         Model(2, ((0, 1), (1, 0)), {"e": 0.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^model size must be an int of at least 1, got True$"):
         Model(True, ((0,),), {"e": 0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^model size must be an int of at least 1, got 2\.0$"):
         Model(2.0, ((0, 1), (1, 0)), {"e": 0})
 
 
@@ -120,6 +131,9 @@ FROZEN_COUNTS = {
     # Z5 is the only group of order 5: 5!/|Aut Z5| = 120/4 labelled copies
     ("dgs", 5): 30, ("dgs+", 5): 30, ("dgss", 5): 30,
     ("dit+", 5): 5400, ("dits", 5): 5400,
+    # a regression pin: the enumerator's own count when it was added, not
+    # an independent one
+    ("dit", 5): 23220,
     ("dgs", 6): 480, ("dgs+", 6): 480, ("dgss", 6): 480,
 }
 
@@ -343,13 +357,23 @@ def _reference_check_model(m: Model, system) -> list[Violation]:
     return v
 
 
+ASSOCIATIVE = {  # a*b on 0..n-1
+    "cyclic group": lambda a, b, n: (a + b) % n,
+    "left-zero band": lambda a, b, n: a,
+    "right-zero band": lambda a, b, n: b,
+    "constant": lambda a, b, n: n - 1,
+    "max": lambda a, b, n: max(a, b),
+}
+
+
 @st.composite
 def _tables(draw):
-    """A table of size 1-4, random or a cyclic group with up to two cells
+    """A table of size 1-6, random or associative with up to two cells
     changed, with designations that may be missing, partial or colliding."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
     if draw(st.booleans()):
-        rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+        op = ASSOCIATIVE[draw(st.sampled_from(sorted(ASSOCIATIVE)))]
+        rows = [[op(a, b, n) for b in range(n)] for a in range(n)]
         for _ in range(draw(st.integers(0, 2))):
             rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = \
                 draw(st.integers(0, n - 1))
@@ -368,6 +392,39 @@ def _tables(draw):
 def test_check_model_matches_the_string_dispatch(m):
     for system in SYSTEMS:
         assert check_model(m, system) == _reference_check_model(m, system)
+    # the row test names the rows of the reference's associativity
+    # violations, so it says "associative" exactly when there are none
+    assert _nonassociative_rows(m.table) == _reference_assoc_rows(m)
+
+
+def _reference_assoc_rows(m: Model) -> list[int]:
+    """The rows a of the reference's violations (a*b)*c != a*(b*c)."""
+    return sorted({v.where[0] for v in _reference_check_model(m, "dit") if v.kind == "assoc"})
+
+
+@pytest.mark.parametrize("name", sorted(ASSOCIATIVE))
+def test_the_row_test_names_the_rows_one_changed_cell_breaks(name):
+    # every table one cell away from an associative one, at sizes 1-4; a
+    # change can break a single row, the last one included
+    for n in range(1, 5):
+        table = [[ASSOCIATIVE[name](a, b, n) for b in range(n)] for a in range(n)]
+        for i, j, v in itertools.product(range(n), repeat=3):
+            rows = [list(r) for r in table]
+            rows[i][j] = v
+            m = Model(n, tuple(map(tuple, rows)), {})
+            assert _nonassociative_rows(m.table) == _reference_assoc_rows(m)
+
+
+def test_the_row_test_has_no_size_cap(monkeypatch):
+    # entries above 255 do not fit a byte; the left-zero band a*b = a is
+    # associative and satisfies z*x = z
+    n = 300
+    m = Model(n, tuple((a,) * n for a in range(n)), {"x": 299, "z": 256})
+    found = []
+    monkeypatch.setattr(models, "_nonassociative_rows",
+                        lambda t: found.append(_nonassociative_rows(t)) or found[-1])
+    assert check_model(m, RuleSystem("LZ", (LZXZ,), ("x", "z"))) == []
+    assert found == [[]]    # the row test cleared every row, so the loop never ran
 
 
 def _reference_designations(name: str, n: int):
