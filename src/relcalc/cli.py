@@ -114,7 +114,7 @@ def _cmd_check(args) -> int:
     except OSError as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
         print(f"not valid JSON: {exc}", file=sys.stderr)
         return 1
     result = check_proof_data(data)

@@ -36,14 +36,17 @@ or a*(b*c), and its tied cells.  Each goes through one forcing rule,
 `_equate`: a known cell fills an empty cell it must equal and queues
 it, and two known cells that differ clash.  Associativity sites skip
 equal cells, the common case, without a call.  Propagation also prunes
-on two derived constraints.  When the reading has ("left", (e,)), its
-models are associative with a left identity and left inverses, so
-each is a group and its rows and columns are permutations: a cell
-i*j = v fails as soon as v stands elsewhere in row i or column j.  A
-full column without e repeats a value, so this also covers the
-left-inverse obligation.  Under
-inverse-cancel, an element y fails once no z is left whose z*y and y*z
-are both empty or e.  Pruning only cuts subtrees without models;
+on one derived constraint, the Latin rule, when the reading holds
+("left", (e,)) or ("inverse", (e,)).  Its models are then groups, by
+the theorem that a semigroup with a one-sided identity e, in which
+every element has an inverse on that same side with respect to e, is
+a group: `_read` gives "left" right after the row rule that makes e a
+left identity, and "inverse", whose inverses are two-sided, only
+beside the identity rule that names e.  A group's rows and columns are
+permutations, so a cell i*j = v fails as soon as v stands elsewhere in
+row i or column j.  A full table that passes it is an associative
+Latin square, hence a group, so the rule also covers every inverse
+obligation.  Pruning only cuts subtrees without models;
 `check_model` still judges every complete table before it is emitted.
 
 Only the first designation, roles -> 0..k-1, is searched; every later
@@ -73,8 +76,12 @@ from .engine import GROUND, IDENTITY_ELIM, SYSTEMS, RuleSystem, make_system
 SIZE_CEILING = 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
+    """Frozen, so a table is validated once and cannot be swapped after.
+    `designated` is a dict, so the generated hash would fail on it;
+    `key()` is the hashable identity."""
+
     size: int
     table: tuple[tuple[int, ...], ...]  # table[a][b] is a*b
     designated: dict[str, int]
@@ -91,7 +98,7 @@ class Model:
             for v in r:
                 if type(v) is not int or not 0 <= v < n:
                     raise ValueError(f"malformed table: entry {v!r} outside 0..{n - 1}")
-        self.table = rows
+        object.__setattr__(self, "table", rows)
         for k, v in self.designated.items():
             if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"designated {k}={v!r} outside 0..{n - 1}")
@@ -263,20 +270,20 @@ def _propagate(t: list[list[int | None]], n: int, trail: list[tuple[int, int]],
                watch: tuple) -> bool:
     """Close the partial table under forced consequences, working off
     `trail` as a queue: each cell on it is checked against its row and
-    column when `watch` has a left-inverse e, the associativity triples
-    that mention it, its tied cells and the two-sided inverses, and
-    every cell this places is pushed on `trail` in turn, so the caller
-    can undo them.  Returns False on contradiction: a repeated value in
-    a row or column of a group, two cells that must agree and differ, or
-    an element left without a two-sided inverse.  The set of cells
-    forced does not depend on the order the queue is worked in."""
-    ties, left, inverse = watch
+    column when `watch` says every model is a group, then against the
+    associativity triples that mention it and its tied cells, and every
+    cell this places is pushed on `trail` in turn, so the caller can
+    undo them.  Returns False on contradiction: a repeated value in a
+    row or column of a group, or two cells that must agree and differ.
+    The set of cells forced does not depend on the order the queue is
+    worked in."""
+    ties, group = watch
     rows = range(n)
     for i, j in trail:          # also visits the cells pushed meanwhile
         ri, rj = t[i], t[j]
         v = ri[j]
         rv = t[v]
-        if left is not None and (ri.count(v) > 1 or [r[j] for r in t].count(v) > 1):
+        if group and (ri.count(v) > 1 or [r[j] for r in t].count(v) > 1):
             return False        # a group's rows and columns are permutations
         for c in rows:          # (i*j)*c = v*c against i*(j*c)
             jc = rj[c]
@@ -302,27 +309,16 @@ def _propagate(t: list[list[int | None]], n: int, trail: list[tuple[int, int]],
         for p, q in ties.get((i, j), ()):
             if not _equate(t, trail, p, q, i, j):
                 return False
-        if v != inverse and inverse is not None:   # some z with z*y = y*z = e
-            for y in {i, j}:
-                ry = t[y]
-                for z in rows:
-                    if (t[z][y] is None or t[z][y] == inverse) \
-                            and (ry[z] is None or ry[z] == inverse):
-                        break
-                else:
-                    return False
     return True
 
 
 def _pin(t, n, reading, d: dict[str, int]) -> tuple | None:
     """Place the cells the equations pin under designation `d`, or return
     None if two pins disagree.  Otherwise return what `_propagate`
-    watches: a map from each tied cell to the cells tied to it, the e
-    of left inverses ("left"), whose presence makes every row and column
-    a permutation, and the e that every element needs a two-sided
-    inverse for ("inverse"); either e is None when the reading does not
-    ask for it."""
-    cells, ties, left, inverse = [], {}, None, None
+    watches: a map from each tied cell to the cells tied to it, and
+    whether every model is a group, which the reading says by holding
+    "left" or "inverse" (see the module docstring)."""
+    cells, ties, group = [], {}, False
     for kind, names in reading:
         if kind == "pin":
             p, q, c = names
@@ -338,15 +334,13 @@ def _pin(t, n, reading, d: dict[str, int]) -> tuple | None:
         elif kind == "col":
             e = d[names[0]]
             cells += [(k, e, k) for k in range(n)]
-        elif kind == "left":
-            left = d[names[0]]
-        else:
-            inverse = d[names[0]]
+        else:                   # "left" or "inverse"
+            group = True
     for i, j, val in cells:
         if t[i][j] not in (None, val):
             return None
         t[i][j] = val
-    return ties, left, inverse
+    return ties, group
 
 
 def iter_models(q: ModelQuery) -> Iterator[Model]:

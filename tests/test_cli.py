@@ -150,6 +150,10 @@ def test_check_unreadable_inputs(tmp_path, capsys):
     junk.write_text("{not json", encoding="utf-8")
     rc, _, err = run(capsys, "check", str(junk))
     assert rc == 1 and "not valid JSON" in err
+    junk.write_text("[" * 100_000, encoding="utf-8")    # past json's recursion limit
+    rc, out, err = run(capsys, "check", str(junk))
+    assert (rc, out) == (1, "") and err.startswith("not valid JSON: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_suite_command(capsys):

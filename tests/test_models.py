@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from relcalc import models
 from relcalc.cli import main
-from relcalc.engine import (AX6, AX9A, GROUND, LRXR, LZXZ, SYSTEMS, Rule, RuleSystem,
+from relcalc.engine import (AX6, AX8, AX9A, GROUND, LRXR, LZXZ, SYSTEMS, Rule, RuleSystem,
                             make_system)
 from relcalc.models import (Model, ModelQuery, Violation, _designations, _fill,
                             _nonassociative_rows, _pin, _propagate, _read, _search,
@@ -21,6 +21,15 @@ from relcalc.models import (Model, ModelQuery, Violation, _designations, _fill,
 from relcalc.terms import parse_word
 
 Z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+# group systems stated without `left_inverses`: inverse-cancel beside an
+# identity rule makes every model a group all the same
+STATED_GROUPS = (RuleSystem("L", (AX8, AX9A), ("e",)), RuleSystem("R", (LRXR, AX9A), ("e",)),
+                 RuleSystem("RL", (LRXR, AX8, AX9A), ("e",)))
+
+
+def _name(v):
+    return v.name if isinstance(v, RuleSystem) else str(v)
 
 
 def test_model_validation():
@@ -61,6 +70,16 @@ def test_model_normalizes_and_applies():
     assert m.table == ((0, 1), (1, 0))
     assert m.apply(1, 1) == 0
     assert m.key() == (2, ((0, 1), (1, 0)), (("e", 0),))
+
+
+@pytest.mark.parametrize("field,value", [("size", 1), ("table", ((1,),)), ("designated", {})])
+def test_model_fields_cannot_be_reassigned(field, value):
+    """A table assigned after construction would skip validation, and
+    `check_model` would then judge a table `Model` never saw."""
+    m = Model(1, ((0,),), {"e": 0})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(m, field, value)
+    assert m.key() == (1, ((0,),), (("e", 0),))
 
 
 def test_z3_models_the_whole_dit_family():
@@ -154,12 +173,13 @@ AUTOMORPHISMS = {
 @pytest.mark.parametrize("system,n", [
     *((s, n) for n in (6, 7) for s in ("dgs", "dgs+", "dgss")),
     ("dgs", 8),
-])
+    *((s, 6) for s in STATED_GROUPS),
+], ids=_name)
 def test_group_counts_past_the_ceiling_match_the_closed_form(system, n):
     """The group tables on 0..n-1 number n!/|Aut G| summed over the
     groups G of order n.  `_search` is called below ModelQuery, whose
     size ceiling is 6."""
-    s = SYSTEMS[system]
+    s = make_system(system)
     assert sum(1 for _ in _search(s, n, _read(s))) == \
         sum(math.factorial(n) // a for a in AUTOMORPHISMS[n])
 
@@ -591,7 +611,7 @@ def _reference_enumerate(system, n) -> list[Model]:
     return out
 
 
-@pytest.mark.parametrize("system", sorted(SYSTEMS))
+@pytest.mark.parametrize("system", [*sorted(SYSTEMS), *STATED_GROUPS], ids=_name)
 def test_enumeration_matches_the_full_rescan(system):
     for n in range(1, 5):
         assert [m.key() for m in enumerate_models(ModelQuery(system, n))] == \
@@ -625,7 +645,7 @@ def _search_every_designation(system, n) -> list[Model]:
     (RuleSystem("XY", (AX6,), ("x", "y")), (1, 2, 3)),
     # roles out of alphabetical order: designations follow the roles tuple
     (RuleSystem("ZXY", SYSTEMS["dits"].rules, ("z", "x", "y")), (3, 4)),
-], ids=lambda v: v.name if isinstance(v, RuleSystem) else str(v))
+], ids=_name)
 def test_relabelling_matches_a_search_of_every_designation(system, sizes):
     for n in sizes:
         expected = [m.key() for m in _search_every_designation(system, n)]
@@ -664,29 +684,16 @@ def test_a_limit_stops_the_search(monkeypatch):
     assert 10 * first < len(placed) - first
 
 
-def _stranded(t, n, reading, d) -> bool:
-    """Whether some element can no longer get the inverse the reading
-    asks for, whatever the empty cells of `t` become."""
-    for kind, names in reading:
-        e = d[names[0]]
-        for y in range(n):
-            if kind == "left" and all(t[z][y] not in (None, e) for z in range(n)):
-                return True
-            if kind == "inverse" and all(t[z][y] not in (None, e) or t[y][z] not in (None, e)
-                                         for z in range(n)):
-                return True
-    return False
-
-
 @st.composite
 def _partial_tables(draw):
-    """A system, a designation of its roles, a full table of size 2-5 and
-    the same table with some cells emptied.  The full table is a cyclic
-    group, or a semigroup whose rows other than the identity row are
-    constant (no inverses), both with the designated first role as
-    identity, or a random table, and then has up to two cells changed."""
-    system = draw(st.sampled_from(sorted(SYSTEMS)))
-    roles = SYSTEMS[system].roles
+    """A system, built in or a stated group system, a designation of its
+    roles, a full table of size 2-5 and the same table with some cells
+    emptied.  The full table is a cyclic group, or a semigroup whose rows
+    other than the identity row are constant (no inverses), both with the
+    designated first role as identity, or a random table, and then has up
+    to two cells changed."""
+    system = draw(st.sampled_from([*SYSTEMS.values(), *STATED_GROUPS]))
+    roles = system.roles
     n = draw(st.integers(max(2, len(roles)), 5))
     d = dict(zip(roles, draw(st.permutations(range(n)))))
     e = d[roles[0]]
@@ -712,26 +719,24 @@ def _partial_tables(draw):
     return system, d, rows, t
 
 
-def _closures_agree(ref, new, trail, ties, watch, reading, d) -> bool:
+def _closures_agree(ref, new, trail, ties, watch, reading) -> bool:
     """Propagate `new` from the queue `trail` and `ref` by full rescans,
     from the same table: both close it to the same table, with every
-    cell filled on the way pushed on `trail`, or `new` reports a
-    contradiction exactly when `ref` does or leaves an element without
-    its inverse.  A reading with left inverses makes every model a
-    group, so there `ref` also fails on a repeated value in a row or
-    column.  Returns whether the closure succeeded."""
+    cell filled on the way pushed on `trail`, or both report a
+    contradiction.  A reading with left or two-sided inverses makes
+    every model a group, so there `ref` also fails on a repeated value
+    in a row or column.  Returns whether the closure succeeded."""
     n = len(ref)
     def filled():
         return [(i, j) for i in range(n) for j in range(n) if new[i][j] is not None]
     before = [c for c in filled() if c not in trail]
     ok = _propagate(new, n, trail, watch)
-    latin = any(kind == "left" for kind, _ in reading)
-    if _reference_propagate(ref, n, [], ties, latin) and not _stranded(ref, n, reading, d):
-        assert ok and new == ref
+    latin = any(kind in ("left", "inverse") for kind, _ in reading)
+    assert ok == _reference_propagate(ref, n, [], ties, latin)
+    if ok:
+        assert new == ref
         assert sorted(before + trail) == filled()
-        return True
-    assert not ok
-    return False
+    return ok
 
 
 @settings(max_examples=400, deadline=None)
@@ -741,7 +746,7 @@ def test_queue_closure_matches_the_full_rescan(case, data):
     enumerator uses it: cells placed one at a time on a closed table,
     each queued alone, with the full table's value or any other."""
     system, d, rows, t = case
-    n, reading = len(t), _read(SYSTEMS[system])
+    n, reading = len(t), _read(system)
     ref, new = [row[:] for row in t], [row[:] for row in t]
     ties, watch = _reference_pin(ref, n, reading, d), _pin(new, n, reading, d)
     assert (ties is None) == (watch is None)
@@ -749,7 +754,7 @@ def test_queue_closure_matches_the_full_rescan(case, data):
         return
     assert new == ref
     trail = [(i, j) for i in range(n) for j in range(n) if new[i][j] is not None]
-    while _closures_agree(ref, new, trail, ties, watch, reading, d):
+    while _closures_agree(ref, new, trail, ties, watch, reading):
         empty = [(i, j) for i in range(n) for j in range(n) if new[i][j] is None]
         if not empty:
             break
@@ -757,6 +762,22 @@ def test_queue_closure_matches_the_full_rescan(case, data):
         ref[i][j] = new[i][j] = rows[i][j] if data.draw(st.booleans()) \
             else data.draw(st.integers(0, n - 1))
         trail = [(i, j)]
+
+
+def _only_the_latin_watch_rejects(t, system, placed):
+    """`t` is closed under `system`'s reading with e = 0, and placing
+    `placed` on it fails with the Latin watch on and passes with
+    associativity alone."""
+    n = len(t)
+    watch = _pin(t, n, _read(SYSTEMS[system]), {"e": 0})
+    closed = [row[:] for row in t]
+    assert watch == ({}, True)
+    assert _propagate(t, n, [(i, j) for i in range(n) for j in range(n)
+                             if t[i][j] is not None], watch) and t == closed
+    i, j, v = placed
+    t[i][j] = v
+    assert not _propagate([row[:] for row in t], n, [(i, j)], watch)
+    assert _propagate(t, n, [(i, j)], ({}, False))
 
 
 @pytest.mark.parametrize("t,placed", [
@@ -768,42 +789,20 @@ def test_queue_closure_matches_the_full_rescan(case, data):
      (1, 3, 2)),
 ])
 def test_a_placement_that_strands_an_inverse_fails_at_once(t, placed):
-    """A closed Latin table and a placement that repeats nothing in its
-    row or column: the closure by associativity alone strands an
-    inverse, and `_propagate` fails on it, with or without the Latin
-    rule.  (A column left without e repeats a value, so it is a Latin
-    clash; see test_a_repeat_in_a_row_or_column_fails_at_once.)"""
-    n, reading, d = len(t), _read(SYSTEMS["dgss"]), {"e": 0}
-    watch = _pin(t, n, reading, d)
-    closed = [row[:] for row in t]
-    assert _propagate(t, n, [(i, j) for i in range(n) for j in range(n)
-                             if t[i][j] is not None], watch)
-    assert t == closed and _reference_propagate(closed, n, [], [], latin=True)
+    """Under dgss, a placement that repeats nothing in its row or column
+    but strands an inverse: the cells associativity forces from it
+    repeat a value, so the Latin watch rejects it."""
     i, j, v = placed
     assert v not in t[i] and v not in [r[j] for r in t]
-    t[i][j] = closed[i][j] = v
-    assert _reference_propagate(closed, n, [], []) and _stranded(closed, n, reading, d)
-    ties, _, inverse = watch
-    for w in (watch, (ties, None, inverse)):
-        assert not _propagate([row[:] for row in t], n, [(i, j)], w)
+    _only_the_latin_watch_rejects(t, "dgss", placed)
 
 
 @pytest.mark.parametrize("placed", [(1, 3, 2), (3, 1, 2)], ids=["row", "column"])
 def test_a_repeat_in_a_row_or_column_fails_at_once(placed):
     """Under dgs every model is a group, so 1*3 = 2 (2 is already 1*1)
-    and 3*1 = 2 (2 is already in column 1) fail as placed; without the
-    left-inverse e in the watch, associativity alone admits both."""
-    n, reading, d = 4, _read(SYSTEMS["dgs"]), {"e": 0}
+    and 3*1 = 2 (2 is already in column 1) fail as placed."""
     t = [[0, 1, 2, 3], [None, 2, None, None], [None] * 4, [None] * 4]
-    watch = _pin(t, n, reading, d)
-    closed = [row[:] for row in t]
-    assert watch[1] == 0
-    assert _propagate(t, n, [(i, j) for i in range(n) for j in range(n)
-                             if t[i][j] is not None], watch) and t == closed
-    i, j, v = placed
-    t[i][j] = v
-    assert not _propagate([row[:] for row in t], n, [(i, j)], watch)
-    assert _propagate(t, n, [(i, j)], (watch[0], None, watch[2]))
+    _only_the_latin_watch_rejects(t, "dgs", placed)
 
 
 @pytest.mark.parametrize("t,placed", [
@@ -815,7 +814,7 @@ def test_a_repeat_in_a_row_or_column_fails_at_once(placed):
 def test_each_associativity_site_forces(t, placed):
     """A cell placed on a closed table forces what the full rescan
     forces; the closure of each case needs the site it is marked with."""
-    n, watch = len(t), ({}, None, None)
+    n, watch = len(t), ({}, False)
     ref = [row[:] for row in t]
     assert _propagate(t, n, [(0, 0), (0, 1)], watch) and t == ref
     i, j, v = placed
@@ -825,7 +824,7 @@ def test_each_associativity_site_forces(t, placed):
 
 
 def test_tied_cells_are_forced_and_clash():
-    watch = ({(0, 1): [(1, 0)], (1, 0): [(0, 1)]}, None, None)
+    watch = ({(0, 1): [(1, 0)], (1, 0): [(0, 1)]}, False)
     t = [[None, 1], [None, None]]
     assert _propagate(t, 2, [(0, 1)], watch) and t == [[None, 1], [1, None]]
     assert not _propagate([[None, 1], [0, None]], 2, [(0, 1)], watch)
