@@ -32,9 +32,10 @@ form) runs first and settles most ground instances without touching
 the frontiers.
 
 The search and normalisation run on a compiled core (`_Core`): atoms
-interned to small ints, words as int tuples, each rule precompiled to
-slice patterns, so finding a redex raises nothing and builds no Word.
-Words and ProofSteps are built only for the steps a proof keeps.
+interned to small ints, words as int tuples, rules compiled to slice
+patterns as far as a call needs them, so finding a redex raises nothing
+and builds no Word.  Words and ProofSteps are built only for the steps
+a proof keeps.
 `neighbors` and `normalize` are thin wrappers over the same core.  The
 checker shares no matching code with it: it replays Words through
 `apply_rule`.  The core is rebuilt for every call and cached nowhere.
@@ -46,7 +47,7 @@ configs across threads freely.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .terms import Atom, Word, parse_equation, parse_word, print_word
 
@@ -229,10 +230,12 @@ class SearchConfig:
     max_depth: int = 30
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in ("max_word_len", "max_nodes", "max_depth"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool is an int subclass, but not a bound
+                raise ValueError(f"{name} must be an int, got {value!r}")
             if value < 1:
-                raise ValueError(f"{f.name} must be at least 1, got {value}")
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -259,10 +262,6 @@ def hypothesis_rules(hypotheses) -> list[Rule]:
             for i, (l, r) in enumerate(hypotheses, 1)]
 
 
-def _sorted_rules(system: RuleSystem, hypotheses) -> list[Rule]:
-    return sorted(list(system.rules) + hypothesis_rules(hypotheses), key=lambda r: r.id)
-
-
 def neighbors(w: Word, system: RuleSystem | str, hypotheses=(),
               max_len: int = SearchConfig.max_word_len) -> list[tuple[Word, ProofStep]]:
     """All one-step rewrites of `w`: system rules and hypothesis
@@ -271,6 +270,7 @@ def neighbors(w: Word, system: RuleSystem | str, hypotheses=(),
     ordered by atom name, unmarked-first pair first."""
     system = make_system(system)
     hypotheses = tuple(hypotheses)
+    _validate_problem(system, (w,), hypotheses)
     core = _Core(system, hypotheses, (w,))
     return [(s.result, s) for s in core.steps(core.expand(core.encode(w), max_len))]
 
@@ -279,17 +279,16 @@ def neighbors(w: Word, system: RuleSystem | str, hypotheses=(),
 # normalisation (the fast path, and the confluence probe for DIT+)
 
 
-def _shortlex_key(w: Word):
-    return (len(w), print_word(w))
-
-
 def _reducers(rules) -> list[tuple[Rule, str]]:
     out = []
     for r in rules:
         if r.kind != GROUND:
             out.append((r, LR))
             continue
-        kl, kr = _shortlex_key(r.lhs), _shortlex_key(r.rhs)
+        # shortlex: the printed forms break only a tie in length
+        kl, kr = len(r.lhs), len(r.rhs)
+        if kl == kr:
+            kl, kr = print_word(r.lhs), print_word(r.rhs)
         if kl > kr:
             out.append((r, LR))
         elif kr > kl:
@@ -307,6 +306,7 @@ def normalize(w: Word, system: RuleSystem | str, hypotheses=()) -> tuple[Word, t
     (DIT+ is, see the tests)."""
     system = make_system(system)
     hypotheses = tuple(hypotheses)
+    _validate_problem(system, (w,), hypotheses)
     core = _Core(system, hypotheses, (w,))
     steps = core.steps(core.normalize(core.encode(w))[1])
     return (steps[-1].result if steps else w), steps
@@ -337,7 +337,6 @@ def reverse_proof(p: Proof) -> Proof:
 
 # matcher opcodes
 _SPAN, _DROP, _INSERT, _CANCEL, _PAIRS = range(5)
-_ANYWHERE = (_INSERT, _CANCEL, _PAIRS)  # may fire whatever atom is at the position
 
 
 class _Core:
@@ -351,31 +350,37 @@ class _Core:
     its pattern starts with, so a position only tries matchers that can
     fire there.  Redexes are found by slice comparison, with no
     apply_rule call and no exception.  Words and ProofSteps are built
-    only by `decode` and `steps`, for the words a caller keeps.
+    only by `decode` and `steps`, from the problem's own Atoms where it
+    holds them, for the words a caller keeps.  The constructor compiles
+    the reducers `normalize` uses; the move table (both directions of
+    every rule) waits for the first `expand`, so a goal normalisation
+    settles never builds it.
     """
 
     def __init__(self, system: RuleSystem, hypotheses, words):
-        hyp_names = {a.name for h in hypotheses for w in h for a in w}
-        names = {a.name for w in words for a in w} | hyp_names
+        hyp_atoms = [a for h in hypotheses for w in h for a in w.atoms]
+        atoms = [a for w in words for a in w.atoms] + hyp_atoms
         for r in system.rules:
             if r.kind == GROUND:
-                names.update(a.name for a in r.lhs + r.rhs)
+                atoms += r.lhs.atoms + r.rhs.atoms
             elif r.kind == IDENTITY_ELIM:
-                names.add(r.atom.name)
-        order = sorted(names)
+                atoms.append(r.atom)
+        known = {(a.name, a.inverted): a for a in atoms}
+        order = sorted({a.name for a in atoms})
         self._index = {name: i for i, name in enumerate(order)}
-        self._atoms = [Atom(name, inv) for name in order for inv in (False, True)]
+        self._atoms = [known.get((name, inv)) or Atom(name, inv)
+                       for name in order for inv in (False, True)]
         # pair insertion draws on the word's and the hypotheses' names,
         # never the identity's: inserting that is identity-elim's job
-        self._pair_names = frozenset(self._index[n] for n in hyp_names)
+        self._pair_names = frozenset(self._index[a.name] for a in hyp_atoms)
         self._no_pair = self._index.get(system.identity_name)
-        rules = _sorted_rules(system, hypotheses)
-        self._moves = self._table([self._matcher(r, d) for r in rules for d in (LR, RL)])
-        self._reducers = self._table([self._matcher(r, d) for r, d in _reducers(rules)])
+        self._rules = sorted([*system.rules, *hypothesis_rules(hypotheses)], key=lambda r: r.id)
+        self._moves = None
+        self._reducers = self._table(_reducers(self._rules))
 
-    def encode(self, w: Word) -> tuple[int, ...]:
+    def encode(self, atoms) -> tuple[int, ...]:  # a Word or a tuple of Atoms
         index = self._index
-        return tuple(2 * index[a.name] + a.inverted for a in w)
+        return tuple([2 * index[a.name] + a.inverted for a in atoms])
 
     def decode(self, t: tuple[int, ...]) -> Word:
         atoms = self._atoms
@@ -390,16 +395,20 @@ class _Core:
             return (_SPAN, r.id, d, self.encode(pat), self.encode(rep))
         if r.kind == IDENTITY_ELIM:
             return (_DROP if d == LR else _INSERT, r.id, d,
-                    self.encode(Word((r.atom,))), r.needs == "left")
+                    self.encode((r.atom,)), r.needs == "left")
         return (_CANCEL if d == LR else _PAIRS, r.id, d, None, None)
 
-    def _table(self, matchers) -> list[tuple]:
-        """For each atom code, the matchers to try at a position holding
-        it, in neighbour order; the extra last entry serves the position
-        just past the end, where only insertions fire."""
-        table = [tuple(m for m in matchers if m[0] in _ANYWHERE or m[3][0] == c)
-                 for c in range(len(self._atoms))]
-        table.append(tuple(m for m in matchers if m[0] in (_INSERT, _PAIRS)))
+    def _table(self, moves) -> list[list[tuple]]:
+        """For each atom code, the matchers of the (rule, dir) `moves` to try
+        at a position holding it, in neighbour order; the extra last entry
+        serves the position just past the end, where only insertions fire."""
+        table = [[] for _ in range(len(self._atoms) + 1)]
+        for r, d in moves:
+            m = self._matcher(r, d)
+            # spans and drops fire only on the atom their pattern starts with
+            for row in (table if m[0] in (_INSERT, _PAIRS) else table[:-1] if m[0] == _CANCEL
+                        else (table[m[3][0]],)):
+                row.append(m)
         return table
 
     def _pairs(self, w) -> list[tuple[int, int]]:
@@ -435,6 +444,8 @@ class _Core:
 
     def expand(self, w, max_len: int):
         """The one-step rewrites of `w`, as neighbors() lists them."""
+        if self._moves is None:
+            self._moves = self._table((r, d) for r in self._rules for d in (LR, RL))
         return self._rewrites(w, self._moves, max_len)
 
     def normalize(self, w):
@@ -468,9 +479,10 @@ class _Budget(Exception):
     pass
 
 
-def _validate_problem(system: RuleSystem, words, max_len: int | None):
-    for w in words:
-        if not system.allows_inverses and any(a.inverted for a in w):
+def _validate_problem(system: RuleSystem, words, hypotheses, max_len: int | None = None):
+    marks_ok = system.allows_inverses
+    for w in [*words, *(u for h in hypotheses for u in h)]:
+        if not marks_ok and any(a.inverted for a in w.atoms):
             raise ValueError(
                 f"inverse marks in {print_word(w)!r} need a system with the "
                 f"inverse-cancel rule, not {system.name}")
@@ -490,8 +502,7 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
     config = config or SearchConfig()
     hypotheses = tuple(hypotheses)
     lhs, rhs = goal
-    _validate_problem(system, [lhs, rhs] + [w for h in hypotheses for w in h],
-                      config.max_word_len)
+    _validate_problem(system, goal, hypotheses, config.max_word_len)
 
     if lhs == rhs:
         return Proof(system, hypotheses, goal, ())
@@ -594,8 +605,7 @@ def check_proof(p: Proof) -> CheckResult:
     the goal's right-hand side.
     """
     try:
-        _validate_problem(p.system, [p.goal[0], p.goal[1]]
-                          + [w for h in p.hypotheses for w in h], None)
+        _validate_problem(p.system, p.goal, p.hypotheses)
     except ValueError as e:
         return CheckResult(False, None, str(e))
     rules = p.system.rule_map() | {r.id: r for r in hypothesis_rules(p.hypotheses)}

@@ -77,7 +77,7 @@ class Atom:
     inverted: bool = False
 
     def __post_init__(self):
-        if not self.name or not set(self.name) <= _NAME_CHARS:
+        if not self.name or not _NAME_CHARS.issuperset(self.name):
             raise ValueError(f"bad atom name {self.name!r}")
 
     def __str__(self) -> str:
@@ -125,7 +125,7 @@ class Word:
 
 
 def print_word(w: Word) -> str:
-    return " ".join(str(a) for a in w)
+    return " ".join([a.name + "'" if a.inverted else a.name for a in w.atoms])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import relcalc
+from relcalc import engine
 from relcalc.engine import (AX6, GROUND, IDENTITY_ELIM, INVERSE_CANCEL, LR, RL,
                             SYSTEM_NAMES, SYSTEMS, CheckResult, EmptyResult,
                             NoMatch, NotFound, Proof, ProofStep, RewriteError,
@@ -305,6 +306,10 @@ def _problems(draw):
 @given(_problems())
 @example(("dgss", W("a a'"), [], 4))  # cancelling the whole word is refused
 @example(("dgs+", W("e"), [], 1))     # a lone identity has no neighbour to lean on
+# hypothesis patterns that start with the identity and with a marked atom
+# share their table rows with the rule matchers filed under those atoms
+@example(("dgs+", W("a e b e"), [(W("e b"), W("a"))], 6))
+@example(("dgss", W("a' b a"), [(W("a' b"), W("e")), (W("b"), W("a' a"))], 7))
 @settings(max_examples=400, deadline=None)
 def test_core_matches_reference_loops(problem):
     system, w, hyps, max_len = problem
@@ -322,6 +327,32 @@ def test_core_matches_reference_loops(problem):
 def test_exhausting_searches_are_pinned(system, goal, max_len, nodes):
     res = prove_equal(parse_equation(goal), system, config=SearchConfig(max_word_len=max_len))
     assert res == NotFound(nodes, None)
+
+
+def _count_tables(monkeypatch):
+    # how many matcher tables the search core compiles
+    built = []
+    original = engine._Core._table
+
+    def counting(core, moves):
+        built.append(None)
+        return original(core, moves)
+    monkeypatch.setattr(engine._Core, "_table", counting)
+    return built
+
+
+def test_a_settled_goal_compiles_no_move_table(monkeypatch):
+    built = _count_tables(monkeypatch)
+    p = prove_equal(parse_equation("z x y = x"), "dit+")
+    assert isinstance(p, Proof) and p.nodes_expanded == 0
+    assert len(built) == 1  # the reducers only
+
+
+def test_a_searched_goal_compiles_the_move_table_once(monkeypatch):
+    built = _count_tables(monkeypatch)
+    p = prove_equal(parse_equation("y z = x"), "dits")
+    assert isinstance(p, Proof) and p.nodes_expanded > 1
+    assert len(built) == 2  # the reducers, then the moves at the first expansion
 
 
 def test_hypothesis_rule_ids_are_positional():
@@ -452,6 +483,33 @@ def test_prove_rejects_marks_outside_dgss():
         prove_equal((W("a'"), W("a")), "dit")
     with pytest.raises(ValueError):
         prove_equal((W("x"), W("x")), "dits", [parse_equation("a' = x")])
+
+
+@pytest.mark.parametrize("call", [
+    lambda w, hyps: neighbors(w, "dit", hyps),
+    lambda w, hyps: normalize(w, "dit", hyps),
+    lambda w, hyps: prove_equal((w, W("x")), "dit", hyps),
+])
+def test_marks_outside_dgss_are_refused_alike(call):
+    message = "inverse marks in \"x'\" need a system with the inverse-cancel rule, not DIT"
+    with pytest.raises(ValueError) as exc:
+        call(W("x'"), ())
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        call(W("x"), [parse_equation("x' = y")])
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("max_word_len", True, "max_word_len must be an int, got True"),
+    ("max_nodes", 2.5, "max_nodes must be an int, got 2.5"),
+    ("max_depth", "3", "max_depth must be an int, got '3'"),
+    ("max_nodes", None, "max_nodes must be an int, got None"),
+])
+def test_search_config_bounds_are_ints(field, value, message):
+    with pytest.raises(ValueError) as exc:
+        SearchConfig(**{field: value})
+    assert str(exc.value) == message
 
 
 def test_prove_rejects_overlong_input():

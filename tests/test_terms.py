@@ -10,10 +10,19 @@ from relcalc.terms import (Atom, Node, ParseError, Word, flatten, parse,
 def test_atom_str_and_mark():
     assert str(Atom("x")) == "x"
     assert str(Atom("a", True)) == "a'"
-    with pytest.raises(ValueError):
-        Atom("")
-    with pytest.raises(ValueError):
-        Atom("a b")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("", "bad atom name ''"),
+    ("a'b", 'bad atom name "a\'b"'),
+    ("x'", 'bad atom name "x\'"'),  # a mark is the `inverted` field, not the name
+    ("a b", "bad atom name 'a b'"),
+    ("é", "bad atom name 'é'"),
+])
+def test_bad_atom_names_are_pinned(name, message):
+    with pytest.raises(ValueError) as exc:
+        Atom(name)
+    assert str(exc.value) == message
 
 
 def test_word_basics():
@@ -100,6 +109,15 @@ def test_deep_nesting_does_not_recurse():
 _names = st.sampled_from(["x", "y", "z", "e", "a", "b", "q1"])
 _atoms = st.builds(Atom, _names, st.booleans())
 _words = st.builds(lambda ats: Word(tuple(ats)), st.lists(_atoms, min_size=1, max_size=12))
+
+
+# multi-character names, marked and unmarked, for the printer
+_long_atoms = st.builds(Atom, st.text("ab_Z09", min_size=1, max_size=5), st.booleans())
+
+
+@given(st.lists(_long_atoms, min_size=1, max_size=8).map(lambda ats: Word(tuple(ats))))
+def test_print_word_joins_the_atom_texts(w):
+    assert print_word(w) == " ".join(map(str, w.atoms))
 
 
 @given(_words)
