@@ -82,9 +82,7 @@ def invert(w: Word, identity: str = IDENTITY) -> Word:
 def is_reduced(w: Word, identity: str = IDENTITY) -> bool:
     """True iff ``free_reduce(w) == w``: `w` is the unmarked one-atom
     identity word, or it holds no identity atom and no cancelling pair."""
-    codes = _encode(w, {identity: -1})
-    stack = _reduce(codes)
-    return len(stack) == len(codes) if stack else codes == [-2]
+    return free_reduce(w, identity) == w
 
 
 def equal_dgss(u: Word, v: Word, identity: str = IDENTITY) -> bool:
@@ -158,8 +156,10 @@ def verify_dgss_lemmas(samples: int, seed: int) -> DeciderReport:
     Every property is checked `samples` times with its own derived
     instances; the report carries pass counts per property.  A word
     equals the identity when it reduces to the empty code list.
-    Raises ValueError for fewer than one sample.
+    Raises ValueError for a non-int count or fewer than one sample.
     """
+    if type(samples) is not int:  # bool is an int subclass, but not a count
+        raise ValueError(f"samples must be an int, got {samples!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)

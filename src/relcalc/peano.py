@@ -31,6 +31,8 @@ class Numeral:
 
 
 def numeral(k: int) -> Numeral:
+    if type(k) is not int:  # bool is an int subclass, but not a count
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 1:
         raise ValueError(f"numerals start at 1, got {k}")
     return Numeral(k, Word((ONE,) * k))
@@ -105,6 +107,8 @@ def verify_peano(k_max: int) -> PeanoReport:
        must be rejected, as must 1000 seeded random tables (none of
        which can satisfy the hypothesis without being all-true)
     """
+    if type(k_max) is not int:  # bool is an int subclass, but not a bound
+        raise ValueError(f"k_max must be an int, got {k_max!r}")
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     if k_max > K_MAX_CEILING:

@@ -3,9 +3,11 @@ q x = x.  Membership, subset and the function criterion are evaluated
 either symbolically or inside a finite model.
 
 Atoms map into a model carrier through the designation table or, for
-digit names like `0`/`2`, directly as indices.  Symbolic membership is
-exact under dgss (free reduction); under the other systems a bounded
-search that finds nothing is not a refutation, so it answers UNDECIDED.
+digit names like `0`/`2`, directly as indices; `element_of` reads every
+element argument, an atom or an in-range int index alike.  Symbolic
+membership is exact under dgss (free reduction); under the other
+systems a bounded search that finds nothing is not a refutation, so it
+answers UNDECIDED.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ class RelSet:
     def __post_init__(self):
         if self.quality.inverted:
             raise ValueError("a set quality must be a plain atom")
+        if not isinstance(self.universe, Model) and self.universe != "symbolic":
+            raise ValueError(f"universe must be a Model or 'symbolic', got {self.universe!r}")
 
     def members(self) -> tuple[int, ...]:
         if not isinstance(self.universe, Model):
@@ -46,23 +50,24 @@ def _fixed(m: Model, q: int) -> tuple[int, ...]:
     return tuple(c for c in range(m.size) if m.apply(q, c) == c)
 
 
-def _element(x, m: Model) -> int:
-    """An Atom's carrier element, or `x` itself when already an index."""
-    return element_of(x, m) if isinstance(x, Atom) else x
-
-
-def element_of(atom: Atom, m: Model) -> int:
-    """Carrier element an atom denotes: designated name, or a digit
-    name used as an index."""
-    if atom.inverted:
-        raise LookupError(f"unmapped atom {atom}: inverse marks have no model reading here")
-    if atom.name in m.designated:
-        return m.designated[atom.name]
-    if atom.name.isdigit():
-        k = int(atom.name)
+def element_of(x: Atom | int, m: Model) -> int:
+    """Carrier element `x` denotes: an int index in range, an atom's
+    designated name, or a digit name used as an index."""
+    if type(x) is int:  # bool is an int subclass, but not an index
+        if 0 <= x < m.size:
+            return x
+        raise LookupError(f"element {x} outside carrier 0..{m.size - 1}")
+    if not isinstance(x, Atom):
+        raise LookupError(f"{x!r} is neither an atom nor a carrier index")
+    if x.inverted:
+        raise LookupError(f"unmapped atom {x}: inverse marks have no model reading here")
+    if x.name in m.designated:
+        return m.designated[x.name]
+    if x.name.isdigit():
+        k = int(x.name)
         if 0 <= k < m.size:
             return k
-    raise LookupError(f"unmapped atom {atom} in model of size {m.size}")
+    raise LookupError(f"unmapped atom {x} in model of size {m.size}")
 
 
 def eval_word(w: Word, m: Model) -> int:
@@ -81,6 +86,8 @@ def is_member(q: Atom, x: Word, universe="symbolic", system: str = "dgss",
         qe = element_of(q, universe)
         xe = eval_word(x, universe)
         return universe.apply(qe, xe) == xe
+    if universe != "symbolic":
+        raise ValueError(f"universe must be a Model or 'symbolic', got {universe!r}")
     goal = (Word((q,) + x.atoms), x)
     if make_system(system) is SYSTEMS["dgss"]:
         return equal_dgss(*goal)
@@ -88,16 +95,16 @@ def is_member(q: Atom, x: Word, universe="symbolic", system: str = "dgss",
     return True if isinstance(res, Proof) else UNDECIDED
 
 
-def is_subset(b, a, m: Model) -> bool:
+def is_subset(b: Atom | int, a: Atom | int, m: Model) -> bool:
     """Whether every element fixed by b is fixed by a."""
-    ae = _element(a, m)
-    return all(m.apply(ae, c) == c for c in _fixed(m, _element(b, m)))
+    ae = element_of(a, m)
+    return all(m.apply(ae, c) == c for c in _fixed(m, element_of(b, m)))
 
 
-def subset_report(b, a, m: Model) -> list[str]:
+def subset_report(b: Atom | int, a: Atom | int, m: Model) -> list[str]:
     """is_subset plus the three pointwise spot checks at x = a, x = b
     and (when they coincide) x = a = b."""
-    be, ae = _element(b, m), _element(a, m)
+    be, ae = element_of(b, m), element_of(a, m)
     lines = [f"subset {be} <= {ae}: {'holds' if is_subset(be, ae, m) else 'fails'}"]
 
     def case(label: str, x: int):
@@ -114,17 +121,16 @@ def subset_report(b, a, m: Model) -> list[str]:
     return lines
 
 
-def is_function_rel(f: int, m: Model, a: int | None = None, b: int | None = None) -> bool:
+def is_function_rel(f: Atom | int, m: Model, a: Atom | int | None = None,
+                    b: Atom | int | None = None) -> bool:
     """Cancellation criterion: f x y = f x z forces y = z, with x
     ranging over the a-set and y, z over the b-set (whole carrier when
     no quality is given)."""
-    n = m.size
-    if not 0 <= f < n:
-        raise LookupError(f"element {f} outside carrier 0..{n - 1}")
-    dom = range(n) if a is None else _fixed(m, a)
-    cod = range(n) if b is None else _fixed(m, b)
+    fe = element_of(f, m)
+    dom = range(m.size) if a is None else _fixed(m, element_of(a, m))
+    cod = range(m.size) if b is None else _fixed(m, element_of(b, m))
     for x in dom:
-        fx = m.apply(f, x)
+        fx = m.apply(fe, x)
         seen: dict[int, int] = {}
         for y in cod:
             v = m.apply(fx, y)

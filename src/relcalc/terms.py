@@ -22,10 +22,10 @@ asks whether the text holds only name characters, apostrophes and the
 four blanks (space, tab, CR, LF).  Such a text is split at its blanks
 and each distinct ``name`` or ``name'`` token becomes one atom.  Every
 other text, and a token the split cannot read as one atom (``'x``,
-``x''``, ``x'y``), goes to the character lexer, as does a text with no
-token at all.  The split path therefore never reports an error: each
-:class:`ParseError`, with its message and offset, comes from the lexer,
-the same for ``parse`` and ``parse_word``.
+``x''``, ``x'y``), goes to the one-pass parser ``_parse``, as does a
+text with no token at all.  The split path therefore never reports an
+error: each :class:`ParseError`, with its message and offset, comes
+from that one pass, the same for ``parse`` and ``parse_word``.
 
 The apostrophe marks a formal inverse.  Only the free-reduction
 decider (and the proof engine when the active system carries the
@@ -79,6 +79,8 @@ class Atom:
     def __post_init__(self):
         if not self.name or not _NAME_CHARS.issuperset(self.name):
             raise ValueError(f"bad atom name {self.name!r}")
+        if type(self.inverted) is not bool:
+            raise ValueError(f"atom mark must be a bool, got {self.inverted!r}")
 
     def __str__(self) -> str:
         return self.name + ("'" if self.inverted else "")
@@ -129,56 +131,10 @@ def print_word(w: Word) -> str:
 
 
 # ---------------------------------------------------------------------------
-# lexing
+# parsing
 
 
 _OPEN = {"(": ")", "[": "]"}
-_CLOSE = {")", "]"}
-
-
-def _lex(text: str):
-    """Yield (kind, value, offset) triples; kind is 'atom', 'open' or 'close'.
-    Each distinct atom is built once per call and yielded every time it
-    occurs."""
-    seen: dict[str, Atom] = {}
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in _BLANKS:
-            i += 1
-            continue
-        if c in _OPEN:
-            yield ("open", c, i)
-            i += 1
-            continue
-        if c in _CLOSE:
-            yield ("close", c, i)
-            i += 1
-            continue
-        if c in _NAME_CHARS:
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            inverted = False
-            if j < n and text[j] == "'":
-                inverted = True
-                j += 1
-                if j < n and text[j] == "'":
-                    raise ParseError("doubled inversion mark", j)
-            token = text[i:j]
-            atom = seen.get(token)
-            if atom is None:
-                atom = seen[token] = Atom(token.rstrip("'"), inverted)
-            yield ("atom", atom, i)
-            i = j
-            continue
-        if c == "'":
-            raise ParseError("inversion mark must follow an atom", i)
-        raise ParseError(f"unexpected character {c!r}", i)
-
-
-# ---------------------------------------------------------------------------
-# parsing
 
 
 def _combine(items: list[TermTree]) -> TermTree:
@@ -190,33 +146,56 @@ def _combine(items: list[TermTree]) -> TermTree:
 
 
 def _parse(text: str, group=None) -> list[TermTree]:
-    """The delimiter stack machine behind `parse` and `parse_word`.
+    """The one pass behind `parse` and `parse_word`: a single loop over
+    the characters places atoms, opens and closes groups, and raises
+    every :class:`ParseError` at the first fault in the text.
 
-    Leaves go to one list in input order.  When a group closes,
-    `group`, if given, replaces the group's items with its result;
-    without it the list stays flat.  Returns the top-level items.
+    Leaves go to one list in input order; each distinct atom text is
+    built once per call.  When a group closes, `group`, if given,
+    replaces the group's items with its result; without it the list
+    stays flat.  Returns the top-level items.
     """
+    seen: dict[str, Atom] = {}
     items: list[TermTree] = []
-    # each open group: (closing char expected, offset of the open, index
-    # of its first item)
+    # each open group: (its closing char, offset of the open, first item index)
     stack: list[tuple[str, int, int]] = []
-    for kind, value, offset in _lex(text):
-        if kind == "atom":
-            items.append(value)
-        elif kind == "open":
-            stack.append((_OPEN[value], offset, len(items)))
-        else:
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in _NAME_CHARS:
+            j = i + 1
+            while j < n and text[j] in _NAME_CHARS:
+                j += 1
+            if j < n and text[j] == "'":
+                j += 1
+                if j < n and text[j] == "'":
+                    raise ParseError("doubled inversion mark", j)
+            token = text[i:j]
+            atom = seen.get(token)
+            if atom is None:
+                atom = seen[token] = Atom(token.rstrip("'"), token[-1] == "'")
+            items.append(atom)
+            i = j
+            continue
+        if c in _OPEN:
+            stack.append((_OPEN[c], i, len(items)))
+        elif c in ")]":
             if not stack:
-                raise ParseError(f"unmatched {value!r}", offset)
+                raise ParseError(f"unmatched {c!r}", i)
             expected, open_offset, start = stack.pop()
-            if value != expected:
+            if c != expected:
                 raise ParseError(
-                    f"mismatched delimiter: {value!r} closes the group opened at "
-                    f"offset {open_offset}", offset)
+                    f"mismatched delimiter: {c!r} closes the group opened at "
+                    f"offset {open_offset}", i)
             if start == len(items):
-                raise ParseError("empty group", offset)
+                raise ParseError("empty group", i)
             if group is not None:
                 items[start:] = [group(items[start:])]
+        elif c == "'":
+            raise ParseError("inversion mark must follow an atom", i)
+        elif c not in _BLANKS:
+            raise ParseError(f"unexpected character {c!r}", i)
+        i += 1
     if stack:
         raise ParseError("unclosed group", stack[-1][1])
     if not items:
@@ -257,7 +236,7 @@ def parse_word(text: str) -> Word:
             inverted = token[-1] == "'"
             name = token[:-1] if inverted else token
             if not name or "'" in name:
-                break  # 'x, x'' or x'y: the lexer reads or rejects it
+                break  # 'x, x'' or x'y: _parse reads or rejects it
             atoms[token] = Atom(name, inverted)
         else:
             if tokens:
@@ -267,12 +246,12 @@ def parse_word(text: str) -> Word:
 
 def parse_equation(text: str) -> tuple[Word, Word]:
     """Split `text` at its single '=' and parse both sides."""
-    positions = [i for i, c in enumerate(text) if c == "="]
-    if not positions:
+    cut = text.find("=")
+    if cut < 0:
         raise ParseError("expected '=' between two terms", len(text))
-    if len(positions) > 1:
-        raise ParseError("more than one '='", positions[1])
-    cut = positions[0]
+    second = text.find("=", cut + 1)
+    if second >= 0:
+        raise ParseError("more than one '='", second)
     lhs = parse_word(text[:cut])
     try:
         rhs = parse_word(text[cut + 1:])

@@ -148,6 +148,13 @@ def test_verify_lemmas_small_run():
     assert all(line.startswith("PASS") for line in rep.lines())
 
 
+@pytest.mark.parametrize("samples", [True, 1.5, "3", None])
+def test_verify_lemmas_rejects_a_non_int_count(samples):
+    with pytest.raises(ValueError) as exc:
+        verify_dgss_lemmas(samples, seed=0)
+    assert str(exc.value) == f"samples must be an int, got {samples!r}"
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_verify_lemmas_rejects_fewer_than_one_sample(samples):
     with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):

@@ -61,6 +61,16 @@ def test_verify_peano_rejects_tiny_bound():
         verify_peano(1)
 
 
+@pytest.mark.parametrize("k", [True, 3.0, "3", None])
+def test_counts_must_be_ints(k):
+    with pytest.raises(ValueError) as exc:
+        verify_peano(k)
+    assert str(exc.value) == f"k_max must be an int, got {k!r}"
+    with pytest.raises(ValueError) as exc:
+        numeral(k)
+    assert str(exc.value) == f"k must be an int, got {k!r}"
+
+
 def test_broken_successor_is_caught(monkeypatch):
     # behaves normally except the top numeral collapses back to 1,
     # which is exactly what property 4 forbids

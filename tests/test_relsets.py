@@ -18,12 +18,34 @@ Z3 = Model(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)), {"e": 0})
 def test_element_of():
     assert element_of(Atom("e"), Z3) == 0
     assert element_of(Atom("2"), Z3) == 2
+    assert element_of(2, Z3) == 2
     with pytest.raises(LookupError):
         element_of(Atom("3"), Z3)
     with pytest.raises(LookupError):
         element_of(Atom("q"), Z3)
     with pytest.raises(LookupError):
         element_of(Atom("e", inverted=True), Z3)
+
+
+@pytest.mark.parametrize("x, message", [
+    (-1, "element -1 outside carrier 0..2"),  # no negative indexing
+    (3, "element 3 outside carrier 0..2"),
+    (True, "True is neither an atom nor a carrier index"),
+    (1.0, "1.0 is neither an atom nor a carrier index"),
+    ("e", "'e' is neither an atom nor a carrier index"),
+])
+def test_element_of_reads_only_atoms_and_indices_in_range(x, message):
+    with pytest.raises(LookupError) as exc:
+        element_of(x, Z3)
+    assert exc.value.args[0] == message
+    # every element argument goes through element_of
+    for call in (lambda: is_function_rel(x, Z3), lambda: is_function_rel(0, Z3, a=x),
+                 lambda: is_function_rel(0, Z3, b=x), lambda: is_subset(x, 0, Z3),
+                 lambda: is_subset(0, x, Z3), lambda: subset_report(x, 0, Z3),
+                 lambda: subset_report(0, x, Z3)):
+        with pytest.raises(LookupError) as exc:
+            call()
+        assert exc.value.args[0] == message
 
 
 def test_eval_word():
@@ -42,6 +64,16 @@ def test_relset_guards():
         RelSet(Atom("q", inverted=True))
     with pytest.raises(ValueError):
         RelSet(Atom("q")).members()
+    assert RelSet(Atom("q"), "symbolic").universe == "symbolic"
+    with pytest.raises(ValueError, match="universe must be a Model or 'symbolic', got 3"):
+        RelSet(Atom("q"), universe=3)
+
+
+@pytest.mark.parametrize("universe", ["symbolc", 3, None])
+def test_is_member_refuses_an_unknown_universe(universe):
+    with pytest.raises(ValueError) as exc:
+        is_member(Atom("e"), W("x"), universe)
+    assert str(exc.value) == f"universe must be a Model or 'symbolic', got {universe!r}"
 
 
 def test_is_member_in_a_model_is_definite():
@@ -105,6 +137,10 @@ def test_is_function_rel():
 def test_is_function_rel_respects_domain_sets():
     # restricted to the empty 1-set the criterion holds vacuously
     assert is_function_rel(0, Z3, a=1)
+    # atoms read as their elements, the same as the indices
+    assert is_function_rel(Atom("e"), Z3, a=Atom("1"), b=Atom("e"))
+    m = Model(2, ((0, 0), (1, 1)), {"k": 0})
+    assert is_function_rel(Atom("k"), m) is is_function_rel(0, m) is False
 
 
 def test_russell_report():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from relcalc import terms
 from relcalc.terms import (Atom, Node, ParseError, Word, flatten, parse,
                            parse_equation, parse_word, print_word)
 
@@ -10,6 +11,20 @@ from relcalc.terms import (Atom, Node, ParseError, Word, flatten, parse,
 def test_atom_str_and_mark():
     assert str(Atom("x")) == "x"
     assert str(Atom("a", True)) == "a'"
+    assert Atom("a", False) == Atom("a")
+
+
+@pytest.mark.parametrize("mark, message", [
+    (2, "atom mark must be a bool, got 2"),  # would code as the next name
+    (1, "atom mark must be a bool, got 1"),
+    (0, "atom mark must be a bool, got 0"),
+    ("yes", "atom mark must be a bool, got 'yes'"),
+    (None, "atom mark must be a bool, got None"),
+])
+def test_atom_mark_must_be_a_bool(mark, message):
+    with pytest.raises(ValueError) as exc:
+        Atom("a", mark)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("name, message", [
@@ -74,6 +89,14 @@ def test_flatten_ignores_grouping():
     ("x $ y", 2, "unexpected character"),
     ("a''", 2, "doubled inversion mark"),
     ("' a", 0, "inversion mark must follow an atom"),
+    # every kind again at a non-zero offset, inside or after a group
+    ("(x $)", 3, "unexpected character '$'"),
+    ("(a'' b)", 3, "doubled inversion mark"),
+    ("x (' y)", 3, "inversion mark must follow an atom"),
+    ("(x) )", 4, "unmatched ')'"),
+    ("(x) (", 4, "unclosed group"),
+    ("x (y ())", 6, "empty group"),
+    ("x\x0by", 1, "unexpected character '\\x0b'"),
 ])
 def test_parse_errors_carry_offsets(text, offset, fragment):
     for parser in (parse, parse_word):
@@ -81,6 +104,22 @@ def test_parse_errors_carry_offsets(text, offset, fragment):
             parser(text)
         assert exc.value.offset == offset
         assert fragment in exc.value.message
+
+
+def test_mismatched_delimiter_message_is_pinned():
+    for parser in (parse, parse_word):
+        with pytest.raises(ParseError) as exc:
+            parser("[x)")
+        assert exc.value.message == "mismatched delimiter: ')' closes the group opened at offset 0"
+        assert str(exc.value) == f"offset 2: {exc.value.message}"
+
+
+def test_bare_words_never_reach_the_one_pass_parser(monkeypatch):
+    def refuse(text, group=None):
+        raise AssertionError(f"_parse called on {text!r}")
+    monkeypatch.setattr(terms, "_parse", refuse)
+    assert print_word(parse_word("a b' c1")) == "a b' c1"
+    assert parse_equation("x y = z") == (parse_word("x y"), parse_word("z"))
 
 
 def test_parse_equation():
@@ -140,7 +179,7 @@ _terms = st.recursive(
 _texts = st.lists(_terms, min_size=1, max_size=4).map(" ".join)
 
 # Bracket-free texts: atoms joined by runs of the four blanks, with optional
-# leading and trailing blanks; parse_word splits these without the lexer.
+# leading and trailing blanks; parse_word splits these without `_parse`.
 _blank_runs = st.text(" \t\r\n", max_size=3)
 _flat_texts = st.builds(
     lambda lead, pairs, trail: lead + "".join(str(a) + sep for a, sep in pairs).rstrip() + trail,
@@ -162,7 +201,7 @@ def test_parse_word_is_flatten_of_parse(text):
     assert parse_word(text) == flatten(parse(text))
 
 
-# str.split() also splits at \x0b, \x0c, \x85 and \xa0, which the lexer rejects
+# str.split() also splits at \x0b, \x0c, \x85 and \xa0, which `_parse` rejects
 _edits = st.lists(st.tuples(st.integers(0, 200),
                             st.sampled_from(["", *"()[]'$ \t\n\r\x0b\x0c\x85\xa0"])),
                  min_size=1, max_size=3)
