@@ -15,10 +15,10 @@ from .engine import (CheckResult, NotFound, Proof, ProofStep, Rule,
 from .freegroup import equal_dgss, free_reduce, invert, is_reduced, verify_dgss_lemmas
 from .models import (Model, ModelQuery, Violation, check_model, count_models,
                      enumerate_models, find_min_model, format_model, iter_models)
-from .peano import (Numeral, eval_zero, numeral, succ, verify_peano,
+from .peano import (eval_zero, numeral, succ, verify_peano,
                     zero_contradiction_demo)
-from .relsets import (UNDECIDED, RelSet, is_function_rel, is_member,
-                      is_subset, russell_report, subset_report)
+from .relsets import (UNDECIDED, is_function_rel, is_member, is_subset,
+                      members, russell_report, subset_report)
 from .suites import SuiteReport, run_suite
 from .terms import (Atom, Node, ParseError, Word, flatten, parse,
                     parse_equation, parse_word, print_word)
@@ -35,9 +35,9 @@ __all__ = [
     "free_reduce", "invert", "is_reduced", "equal_dgss", "verify_dgss_lemmas",
     "Model", "ModelQuery", "Violation", "check_model", "iter_models",
     "enumerate_models", "count_models", "find_min_model", "format_model",
-    "RelSet", "UNDECIDED", "is_member", "is_subset", "subset_report",
+    "UNDECIDED", "members", "is_member", "is_subset", "subset_report",
     "is_function_rel", "russell_report",
-    "Numeral", "numeral", "succ", "eval_zero", "verify_peano",
+    "numeral", "succ", "eval_zero", "verify_peano",
     "zero_contradiction_demo",
     "SuiteReport", "run_suite",
     "__version__",

@@ -151,7 +151,7 @@ def _cmd_peano(args) -> int:
         print(print_word(w))
         num = as_numeral(w)
         if num is not None:
-            print(f"= {num.value}")
+            print(f"= {num}")
         return 0
     if args.peano_cmd == "verify":
         report = verify_peano(args.max)

@@ -148,10 +148,10 @@ SYSTEMS = {  # by the id the CLI and proof scripts use
 SYSTEM_NAMES = tuple(s.name for s in SYSTEMS.values())
 
 
-def system_id(name: str) -> str:
+def system_id(name: str) -> str | None:
     """The SYSTEMS (or suite) key `name` spells: ids ignore case and
-    surrounding blanks."""
-    return name.strip().lower()
+    surrounding blanks, and a name that is not a str spells none."""
+    return name.strip().lower() if isinstance(name, str) else None
 
 
 def make_system(system: RuleSystem | str) -> RuleSystem:
@@ -480,8 +480,15 @@ class _Budget(Exception):
 
 
 def _validate_problem(system: RuleSystem, words, hypotheses, max_len: int | None = None):
+    ws = list(words)
+    for h in hypotheses:
+        if type(h) is not tuple or len(h) != 2:
+            raise ValueError(f"a hypothesis must be a pair of words, got {h!r}")
+        ws += h
     marks_ok = system.allows_inverses
-    for w in [*words, *(u for h in hypotheses for u in h)]:
+    for w in ws:
+        if not isinstance(w, Word):
+            raise ValueError(f"expected a Word, got {w!r}")
         if not marks_ok and any(a.inverted for a in w.atoms):
             raise ValueError(
                 f"inverse marks in {print_word(w)!r} need a system with the "

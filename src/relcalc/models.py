@@ -413,6 +413,10 @@ def count_models(system, n: int) -> int:
 def find_min_model(system, n_max: int) -> tuple[int, Model] | None:
     """The smallest size admitting a model, with the first model in
     enumeration order, or None up to n_max."""
+    if type(n_max) is not int:  # bool is an int subclass, but not a bound
+        raise ValueError(f"n_max must be an int, got {n_max!r}")
+    if not 1 <= n_max <= SIZE_CEILING:
+        raise ValueError(f"n_max must be within 1..{SIZE_CEILING}, got {n_max}")
     for n in range(1, n_max + 1):
         m = next(iter_models(ModelQuery(system, n, limit=1)), None)
         if m is not None:

@@ -1,8 +1,8 @@
-"""Numerals as words: k is k copies of the atom `1`, successor
-prepends a `1`, and `0` acts as a deletable identity mark.  The five
-usual natural-number properties become finite checks on word lengths,
-with successor injectivity cross-checked against the free-reduction
-decider.
+"""Numerals as words: `numeral(k)` is k copies of the atom `1`, and
+`as_numeral` reads such a word back as k.  Successor prepends a `1`,
+and `0` acts as a deletable identity mark.  The five usual
+natural-number properties become finite checks on word lengths, with
+successor injectivity cross-checked against the free-reduction decider.
 """
 
 from __future__ import annotations
@@ -21,27 +21,18 @@ ZERO = Atom("0")
 K_MAX_CEILING = 256
 
 
-@dataclass(frozen=True)
-class Numeral:
-    value: int
-    word: Word
-
-    def __str__(self) -> str:
-        return f"{self.word} (= {self.value})"
-
-
-def numeral(k: int) -> Numeral:
+def numeral(k: int) -> Word:
     if type(k) is not int:  # bool is an int subclass, but not a count
         raise ValueError(f"k must be an int, got {k!r}")
     if k < 1:
         raise ValueError(f"numerals start at 1, got {k}")
-    return Numeral(k, Word((ONE,) * k))
+    return Word((ONE,) * k)
 
 
-def as_numeral(w: Word) -> Numeral | None:
-    """Read a word back as a numeral, or None if any atom is not `1`."""
+def as_numeral(w: Word) -> int | None:
+    """The number a word of `1`s stands for, or None if any atom is not `1`."""
     if all(a == ONE for a in w):
-        return Numeral(len(w), w)
+        return len(w)
     return None
 
 
@@ -116,26 +107,26 @@ def verify_peano(k_max: int) -> PeanoReport:
     ns = [numeral(k) for k in range(1, k_max + 1)]
     items = []
 
-    one = ns[0].word
+    one = ns[0]
     ok1 = eval_zero(Word((ZERO,) + one.atoms)) == one
     items.append(PeanoItem(1, "membership of 1", ok1, f"0-extended base word evaluates to {one}"))
 
-    ok2 = all(as_numeral(succ(n.word)) == Numeral(n.value + 1, succ(n.word)) for n in ns[:-1])
-    ok2 = ok2 and all(succ(n.word).atoms == n.word.atoms + (ONE,) for n in ns[:-1])
+    ok2 = all(as_numeral(succ(n)) == k + 1 for k, n in enumerate(ns[:-1], 1))
+    ok2 = ok2 and all(succ(n).atoms == n.atoms + (ONE,) for n in ns[:-1])
     items.append(PeanoItem(2, "closure under successor", ok2,
                            f"prepend agrees with append on all {k_max - 1} steps"))
 
     ok3 = True
     for u in ns:
         for v in ns:
-            if (succ(u.word) == succ(v.word)) != (u.word == v.word):
+            if (succ(u) == succ(v)) != (u == v):
                 ok3 = False
-            if equal_dgss(succ(u.word), succ(v.word)) != equal_dgss(u.word, v.word):
+            if equal_dgss(succ(u), succ(v)) != equal_dgss(u, v):
                 ok3 = False
     items.append(PeanoItem(3, "successor injective", ok3,
                            f"{k_max}^2 pairs, word equality and decider agree"))
 
-    ok4 = all(succ(n.word) != one for n in ns)
+    ok4 = all(succ(n) != one for n in ns)
     items.append(PeanoItem(4, "1 is no successor", ok4, "lengths exceed 1 after succ"))
 
     tested = 0
@@ -166,7 +157,7 @@ def zero_contradiction_demo() -> list[str]:
     zero = Word((ZERO,))
     s = succ(zero)
     ev = eval_zero(s)
-    one = numeral(1).word
+    one = numeral(1)
     lines = [
         f"succ(0) = {s}",
         f"evaluates to {ev}",

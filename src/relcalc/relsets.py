@@ -1,6 +1,6 @@
-"""Relational sets: a quality atom q names the collection of x with
-q x = x.  Membership, subset and the function criterion are evaluated
-either symbolically or inside a finite model.
+"""Relational sets: a quality atom q is the set of x with q x = x,
+which `members(q, m)` lists in a finite model.  Membership, subset and
+the function criterion are evaluated symbolically or inside a model.
 
 Atoms map into a model carrier through the designation table or, for
 digit names like `0`/`2`, directly as indices; `element_of` reads every
@@ -28,28 +28,6 @@ class _Undecided:
 UNDECIDED = _Undecided()
 
 
-@dataclass(frozen=True)
-class RelSet:
-    quality: Atom
-    universe: object = "symbolic"  # "symbolic" or a Model
-
-    def __post_init__(self):
-        if self.quality.inverted:
-            raise ValueError("a set quality must be a plain atom")
-        if not isinstance(self.universe, Model) and self.universe != "symbolic":
-            raise ValueError(f"universe must be a Model or 'symbolic', got {self.universe!r}")
-
-    def members(self) -> tuple[int, ...]:
-        if not isinstance(self.universe, Model):
-            raise ValueError("members() needs a model universe")
-        return _fixed(self.universe, element_of(self.quality, self.universe))
-
-
-def _fixed(m: Model, q: int) -> tuple[int, ...]:
-    """The elements c with q c = c: the set the quality q names in m."""
-    return tuple(c for c in range(m.size) if m.apply(q, c) == c)
-
-
 def element_of(x: Atom | int, m: Model) -> int:
     """Carrier element `x` denotes: an int index in range, an atom's
     designated name, or a digit name used as an index."""
@@ -70,6 +48,12 @@ def element_of(x: Atom | int, m: Model) -> int:
     raise LookupError(f"unmapped atom {x} in model of size {m.size}")
 
 
+def members(q: Atom | int, m: Model) -> tuple[int, ...]:
+    """The elements c with q c = c: the set the quality q names in m."""
+    qe = element_of(q, m)
+    return tuple(c for c in range(m.size) if m.apply(qe, c) == c)
+
+
 def eval_word(w: Word, m: Model) -> int:
     val = element_of(w[0], m)
     for a in w[1:]:
@@ -82,12 +66,16 @@ def is_member(q: Atom, x: Word, universe="symbolic", system: str = "dgss",
     """Whether x satisfies q x = x: a definite bool from a model's table
     or, symbolically under dgss, from free reduction; otherwise a bounded
     proof search gives True or UNDECIDED (absence of a proof refutes nothing)."""
+    if not isinstance(x, Word):
+        raise ValueError(f"x must be a Word, got {x!r}")
     if isinstance(universe, Model):
         qe = element_of(q, universe)
         xe = eval_word(x, universe)
         return universe.apply(qe, xe) == xe
     if universe != "symbolic":
         raise ValueError(f"universe must be a Model or 'symbolic', got {universe!r}")
+    if not isinstance(q, Atom) or q.inverted:
+        raise ValueError(f"a set quality must be a plain atom, got {q!r}")
     goal = (Word((q,) + x.atoms), x)
     if make_system(system) is SYSTEMS["dgss"]:
         return equal_dgss(*goal)
@@ -98,7 +86,7 @@ def is_member(q: Atom, x: Word, universe="symbolic", system: str = "dgss",
 def is_subset(b: Atom | int, a: Atom | int, m: Model) -> bool:
     """Whether every element fixed by b is fixed by a."""
     ae = element_of(a, m)
-    return all(m.apply(ae, c) == c for c in _fixed(m, element_of(b, m)))
+    return all(m.apply(ae, c) == c for c in members(b, m))
 
 
 def subset_report(b: Atom | int, a: Atom | int, m: Model) -> list[str]:
@@ -127,8 +115,8 @@ def is_function_rel(f: Atom | int, m: Model, a: Atom | int | None = None,
     ranging over the a-set and y, z over the b-set (whole carrier when
     no quality is given)."""
     fe = element_of(f, m)
-    dom = range(m.size) if a is None else _fixed(m, element_of(a, m))
-    cod = range(m.size) if b is None else _fixed(m, element_of(b, m))
+    dom = range(m.size) if a is None else members(a, m)
+    cod = range(m.size) if b is None else members(b, m)
     for x in dom:
         fx = m.apply(fe, x)
         seen: dict[int, int] = {}
@@ -159,6 +147,6 @@ def russell_report(m: Model) -> RussellReport:
     In any table with group structure only the identity qualifies, the
     concrete face of 'there exist objects which are not their own
     elements'."""
-    yes = tuple(c for c in range(m.size) if c in _fixed(m, c))
+    yes = tuple(c for c in range(m.size) if m.apply(c, c) == c)
     no = tuple(c for c in range(m.size) if c not in yes)
     return RussellReport(yes, no)

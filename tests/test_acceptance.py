@@ -246,7 +246,7 @@ def test_09_numerals_satisfy_the_five_properties(capsys):
     demo = zero_contradiction_demo()
     assert demo[0] == "succ(0) = 1 0"
     assert demo[-1] == "hence 0 cannot be a numeral"
-    assert eval_zero(succ(Word((ZERO,)))) == numeral(1).word
+    assert eval_zero(succ(Word((ZERO,)))) == numeral(1)
 
 
 def test_10_checker_rejects_every_single_field_corruption():

@@ -40,6 +40,43 @@ def test_make_system_rule_sets():
         make_system("nope")
 
 
+@pytest.mark.parametrize("system", [3, None, ("dit",)])
+def test_make_system_refuses_a_non_str_id(system):
+    with pytest.raises(ValueError) as exc:
+        make_system(system)
+    assert str(exc.value) == (f"unknown system {system!r} "
+                              "(expected one of DIT, DIT+, DITS, DGS, DGS+, DGSS)")
+
+
+_X, _Y = W("x"), W("y")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: prove_equal((_X, _Y), "dit", [_X]),
+     f"a hypothesis must be a pair of words, got {_X!r}"),
+    (lambda: prove_equal((_X, _Y), "dit", [(_X, _Y, _X)]),
+     f"a hypothesis must be a pair of words, got {(_X, _Y, _X)!r}"),
+    (lambda: prove_equal((_X, _Y), "dit", [[_X, _Y]]),
+     f"a hypothesis must be a pair of words, got {[_X, _Y]!r}"),
+    (lambda: prove_equal(("x", _Y), "dit"), "expected a Word, got 'x'"),
+    (lambda: neighbors(W("x y"), "dit", [("x", "y")]), "expected a Word, got 'x'"),
+    (lambda: neighbors("x y", "dit"), "expected a Word, got 'x y'"),
+    (lambda: normalize(_X, "dit", [(_X, Atom("y"))]),
+     f"expected a Word, got {Atom('y')!r}"),
+])
+def test_problem_words_must_be_words(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_check_proof_rejects_a_malformed_hypothesis():
+    p = _proved("z y = x")
+    res = check_proof(Proof(p.system, (W("x"),), p.goal, p.steps))
+    assert not res.ok and res.failed_step is None
+    assert res.reason.startswith("a hypothesis must be a pair of words, got Word(")
+
+
 def test_system_flags():
     assert make_system("dgss").allows_inverses
     assert not make_system("dits").allows_inverses

@@ -298,6 +298,19 @@ def test_find_min_model():
     assert find_min_model("dgs", 4) == (1, Model(1, ((0,),), {"e": 0}))
 
 
+@pytest.mark.parametrize("n_max, message", [
+    (0, "n_max must be within 1..6, got 0"),
+    (7, "n_max must be within 1..6, got 7"),
+    (True, "n_max must be an int, got True"),
+    (2.5, "n_max must be an int, got 2.5"),
+    ("3", "n_max must be an int, got '3'"),
+])
+def test_find_min_model_checks_n_max(n_max, message):
+    with pytest.raises(ValueError) as exc:
+        find_min_model("dit", n_max)
+    assert str(exc.value) == message
+
+
 def test_size_outside_ceiling_rejected():
     with pytest.raises(ValueError):
         enumerate_models(ModelQuery("dit", 0))

@@ -4,11 +4,11 @@ import time
 
 import pytest
 
-from relcalc.engine import SearchConfig
-from relcalc.models import Model
-from relcalc.relsets import (UNDECIDED, RelSet, element_of, eval_word,
-                             is_function_rel, is_member, is_subset,
-                             russell_report, subset_report)
+from relcalc.engine import SYSTEMS, SearchConfig
+from relcalc.models import Model, ModelQuery, iter_models
+from relcalc.relsets import (UNDECIDED, element_of, eval_word, is_function_rel,
+                             is_member, is_subset, members, russell_report,
+                             subset_report)
 from relcalc.terms import Atom, parse_word
 
 W = parse_word
@@ -39,7 +39,8 @@ def test_element_of_reads_only_atoms_and_indices_in_range(x, message):
         element_of(x, Z3)
     assert exc.value.args[0] == message
     # every element argument goes through element_of
-    for call in (lambda: is_function_rel(x, Z3), lambda: is_function_rel(0, Z3, a=x),
+    for call in (lambda: members(x, Z3),
+                 lambda: is_function_rel(x, Z3), lambda: is_function_rel(0, Z3, a=x),
                  lambda: is_function_rel(0, Z3, b=x), lambda: is_subset(x, 0, Z3),
                  lambda: is_subset(0, x, Z3), lambda: subset_report(x, 0, Z3),
                  lambda: subset_report(0, x, Z3)):
@@ -55,18 +56,46 @@ def test_eval_word():
 
 
 def test_relset_members_in_a_model():
-    assert RelSet(Atom("e"), Z3).members() == (0, 1, 2)
-    assert RelSet(Atom("1"), Z3).members() == ()
+    # the set a quality names is the tuple of c with q c = c
+    assert members(Atom("e"), Z3) == (0, 1, 2)
+    assert members(Atom("1"), Z3) == ()
+    assert members(0, Z3) == (0, 1, 2)
+    m = Model(2, ((0, 1), (1, 1)), {"k": 1})
+    assert members(Atom("k"), m) == (1,)
+    assert members(0, m) == (0, 1)
 
 
 def test_relset_guards():
+    # a marked quality has no model reading, the same as every element argument
+    with pytest.raises(LookupError) as exc:
+        members(Atom("e", inverted=True), Z3)
+    assert exc.value.args[0] == "unmapped atom e': inverse marks have no model reading here"
+    with pytest.raises(LookupError):
+        members(Atom("q"), Z3)
+
+
+@pytest.mark.parametrize("universe", ["symbolic", Z3])
+@pytest.mark.parametrize("x", ["x", Atom("x"), ("x",), None])
+def test_is_member_needs_a_word(universe, x):
+    with pytest.raises(ValueError) as exc:
+        is_member(Atom("q"), x, universe)
+    assert str(exc.value) == f"x must be a Word, got {x!r}"
+
+
+@pytest.mark.parametrize("q", [0, "q", None, Atom("q", inverted=True)])
+def test_symbolic_quality_must_be_a_plain_atom(q):
+    with pytest.raises(ValueError) as exc:
+        is_member(q, W("x"))
+    assert str(exc.value) == f"a set quality must be a plain atom, got {q!r}"
     with pytest.raises(ValueError):
-        RelSet(Atom("q", inverted=True))
-    with pytest.raises(ValueError):
-        RelSet(Atom("q")).members()
-    assert RelSet(Atom("q"), "symbolic").universe == "symbolic"
-    with pytest.raises(ValueError, match="universe must be a Model or 'symbolic', got 3"):
-        RelSet(Atom("q"), universe=3)
+        is_member(q, W("x"), system="dit")
+
+
+def test_model_quality_is_read_by_element_of():
+    # in a model an int quality is an index, and a marked one has no reading
+    assert is_member(0, W("1"), Z3) is True
+    with pytest.raises(LookupError):
+        is_member(Atom("e", inverted=True), W("1"), Z3)
 
 
 @pytest.mark.parametrize("universe", ["symbolc", 3, None])
@@ -141,6 +170,24 @@ def test_is_function_rel_respects_domain_sets():
     assert is_function_rel(Atom("e"), Z3, a=Atom("1"), b=Atom("e"))
     m = Model(2, ((0, 0), (1, 1)), {"k": 0})
     assert is_function_rel(Atom("k"), m) is is_function_rel(0, m) is False
+
+
+def _small_models():
+    for system in SYSTEMS:
+        for n in (1, 2, 3):
+            yield from iter_models(ModelQuery(system, n))
+
+
+def test_russell_split_is_the_self_quality_sets():
+    # c is self-membered exactly when c is in the set c names
+    seen = 0
+    for m in _small_models():
+        rep = russell_report(m)
+        yes = tuple(c for c in range(m.size) if c in members(c, m))
+        assert rep.self_membered == yes
+        assert rep.not_self_membered == tuple(c for c in range(m.size) if c not in yes)
+        seen += 1
+    assert seen == 42  # every model of the six systems at n = 1..3
 
 
 def test_russell_report():

@@ -14,6 +14,14 @@ def test_suite_ids():
         run_suite("nope")
 
 
+@pytest.mark.parametrize("suite_id", [3, None])
+def test_run_suite_refuses_a_non_str_id(suite_id):
+    with pytest.raises(ValueError) as exc:
+        run_suite(suite_id)
+    assert str(exc.value) == (f"unknown suite {suite_id!r}; expected one of "
+                              f"{', '.join(SUITE_IDS)}")
+
+
 def test_er_suite():
     rep = run_suite("er")
     assert rep.ok
