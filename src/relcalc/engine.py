@@ -26,7 +26,9 @@ function of the position (inverse-pair insertion) checkable.
 
 Search is bidirectional breadth-first: one frontier grows from each
 side of the goal and a proof is stitched together the moment the
-frontiers share a word.  A cheap normalisation pass (rules oriented to
+frontiers share a word.  Each round grows the chosen side's whole
+frontier by one level, and every bound stop returns NotFound with the
+nodes counted so far.  A cheap normalisation pass (rules oriented to
 shrink words, ties broken toward the lexicographically smaller printed
 form) runs first and settles most ground instances without touching
 the frontiers.
@@ -270,7 +272,7 @@ def neighbors(w: Word, system: RuleSystem | str, hypotheses=(),
     ordered by atom name, unmarked-first pair first."""
     system = make_system(system)
     hypotheses = tuple(hypotheses)
-    _validate_problem(system, (w,), hypotheses)
+    _validate_problem(system, (w, w), hypotheses)
     core = _Core(system, hypotheses, (w,))
     return [(s.result, s) for s in core.steps(core.expand(core.encode(w), max_len))]
 
@@ -306,7 +308,7 @@ def normalize(w: Word, system: RuleSystem | str, hypotheses=()) -> tuple[Word, t
     (DIT+ is, see the tests)."""
     system = make_system(system)
     hypotheses = tuple(hypotheses)
-    _validate_problem(system, (w,), hypotheses)
+    _validate_problem(system, (w, w), hypotheses)
     core = _Core(system, hypotheses, (w,))
     steps = core.steps(core.normalize(core.encode(w))[1])
     return (steps[-1].result if steps else w), steps
@@ -475,16 +477,13 @@ class NotFound:
     bound_hit: str | None
 
 
-class _Budget(Exception):
-    pass
-
-
-def _validate_problem(system: RuleSystem, words, hypotheses, max_len: int | None = None):
-    ws = list(words)
-    for h in hypotheses:
-        if type(h) is not tuple or len(h) != 2:
-            raise ValueError(f"a hypothesis must be a pair of words, got {h!r}")
-        ws += h
+def _validate_problem(system: RuleSystem, goal, hypotheses, max_len: int | None = None):
+    # a lone word w is checked as the goal w = w
+    ws = []
+    for what, pair in (("goal", goal), *(("hypothesis", h) for h in hypotheses)):
+        if type(pair) is not tuple or len(pair) != 2:
+            raise ValueError(f"a {what} must be a pair of words, got {pair!r}")
+        ws += pair
     marks_ok = system.allows_inverses
     for w in ws:
         if not isinstance(w, Word):
@@ -508,8 +507,8 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
     system = make_system(system)
     config = config or SearchConfig()
     hypotheses = tuple(hypotheses)
-    lhs, rhs = goal
     _validate_problem(system, goal, hypotheses, config.max_word_len)
+    lhs, rhs = goal
 
     if lhs == rhs:
         return Proof(system, hypotheses, goal, ())
@@ -521,58 +520,43 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
     if nl == nr:
         return Proof(system, hypotheses, goal, _join(core, ls, rs, rhs))
 
-    # bidirectional BFS over encoded words; seen maps word -> None for the
-    # root, else (predecessor, (word, rule id, dir, pos) of the step into it)
-    fwd: dict[tuple, tuple | None] = {lt: None}
-    bwd: dict[tuple, tuple | None] = {rt: None}
-    f_frontier, b_frontier = [lt], [rt]
-    f_depth = b_depth = 0
+    # bidirectional BFS over encoded words, side 0 from the left word and
+    # side 1 from the right; seen[k] maps word -> None for the root, else
+    # (predecessor, (word, rule id, dir, pos) of the step into it)
+    seen = ({lt: None}, {rt: None})
+    frontier = [[lt], [rt]]
+    depth = [0, 0]
     nodes = 0
-    max_len = config.max_word_len
-
-    def grow(frontier, seen, other):
-        nonlocal nodes
-        fresh = []
-        for w in frontier:
-            nodes += 1
-            if nodes > config.max_nodes:
-                raise _Budget
-            for hit in core.expand(w, max_len):
-                w2 = hit[0]
-                if w2 in seen:
-                    continue
-                seen[w2] = (w, hit)
-                fresh.append(w2)
-                if w2 in other:
-                    return fresh, w2
-        return fresh, None
 
     # For systems without inverse-cancel the one-step relation is symmetric,
     # so the bounded rewrite graph is undirected and one side exhausting its
     # connected component settles disjointness.  Pair insertion breaks that
     # symmetry (it only draws letters from the current word), so under DGSS
     # the other side must still run to completion.
-    try:
-        while True:
-            f_can = bool(f_frontier) and f_depth < config.max_depth
-            b_can = bool(b_frontier) and b_depth < config.max_depth
-            if not f_can and not b_can:
-                if not f_frontier and not b_frontier:
-                    return NotFound(nodes, None)
-                return NotFound(nodes, "max_depth")
-            if f_can and (not b_can or len(f_frontier) <= len(b_frontier)):
-                f_frontier, meet = grow(f_frontier, fwd, bwd)
-                f_depth += 1
-            else:
-                b_frontier, meet = grow(b_frontier, bwd, fwd)
-                b_depth += 1
-            if meet is not None:
-                steps = _join(core, _walk(fwd, meet), _walk(bwd, meet), rhs)
-                return Proof(system, hypotheses, goal, steps, nodes_expanded=nodes)
-            if not system.allows_inverses and (not f_frontier or not b_frontier):
-                return NotFound(nodes, None)
-    except _Budget:
-        return NotFound(nodes, "max_nodes")
+    while True:
+        can = [bool(frontier[k]) and depth[k] < config.max_depth for k in (0, 1)]
+        if not can[0] and not can[1]:
+            return NotFound(nodes, "max_depth" if frontier[0] or frontier[1] else None)
+        k = 0 if can[0] and (not can[1] or len(frontier[0]) <= len(frontier[1])) else 1
+        mine, other = seen[k], seen[1 - k]
+        fresh = []
+        for w in frontier[k]:
+            nodes += 1
+            if nodes > config.max_nodes:
+                return NotFound(nodes, "max_nodes")
+            for hit in core.expand(w, config.max_word_len):
+                w2 = hit[0]
+                if w2 in mine:
+                    continue
+                mine[w2] = (w, hit)
+                fresh.append(w2)
+                if w2 in other:
+                    steps = _join(core, _walk(seen[0], w2), _walk(seen[1], w2), rhs)
+                    return Proof(system, hypotheses, goal, steps, nodes_expanded=nodes)
+        frontier[k] = fresh
+        depth[k] += 1
+        if not fresh and not system.allows_inverses:
+            return NotFound(nodes, None)
 
 
 def _walk(seen, w) -> list[tuple]:

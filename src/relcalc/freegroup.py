@@ -32,9 +32,12 @@ from .terms import Atom, Word
 IDENTITY = "e"
 
 
-def _encode(w: Word, index: dict[str, int]) -> list[int]:
+def _encode(w: Word, index: dict[str, int], name: str = "w") -> list[int]:
     """The codes of `w`; names not yet in `index` get the next index.
-    `index` starts as ``{identity: -1}``."""
+    `index` starts as ``{identity: -1}``.  A `w` that is not a Word is a
+    ValueError that calls it by the caller's argument `name`."""
+    if not isinstance(w, Word):
+        raise ValueError(f"{name} must be a Word, got {w!r}")
     codes = []
     for a in w.atoms:
         i = index.get(a.name)
@@ -72,6 +75,8 @@ def free_reduce(w: Word, identity: str = IDENTITY) -> Word:
 
 def invert(w: Word, identity: str = IDENTITY) -> Word:
     """Reverse the word and flip every mark; the identity stays unmarked."""
+    if not isinstance(w, Word):
+        raise ValueError(f"w must be a Word, got {w!r}")
     out = tuple(
         Atom(a.name, a.name != identity and not a.inverted)
         for a in reversed(w.atoms)
@@ -89,7 +94,7 @@ def equal_dgss(u: Word, v: Word, identity: str = IDENTITY) -> bool:
     """True iff the words denote the same element; equivalently,
     free_reduce(u + invert(v)) is the identity word."""
     index = {identity: -1}
-    return _reduce(_encode(u, index)) == _reduce(_encode(v, index))
+    return _reduce(_encode(u, index, "u")) == _reduce(_encode(v, index, "v"))
 
 
 # ---------------------------------------------------------------------------

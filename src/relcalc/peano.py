@@ -31,12 +31,16 @@ def numeral(k: int) -> Word:
 
 def as_numeral(w: Word) -> int | None:
     """The number a word of `1`s stands for, or None if any atom is not `1`."""
+    if not isinstance(w, Word):
+        raise ValueError(f"w must be a Word, got {w!r}")
     if all(a == ONE for a in w):
         return len(w)
     return None
 
 
 def succ(w: Word) -> Word:
+    if not isinstance(w, Word):
+        raise ValueError(f"w must be a Word, got {w!r}")
     return Word((ONE,) + w.atoms)
 
 
@@ -44,6 +48,8 @@ def eval_zero(w: Word) -> Word:
     """Delete `0` atoms; a word of nothing but zeros keeps a single one.
     Zero is the identity that free reduction deletes; numerals carry no
     inverse marks, so a marked atom is a ValueError."""
+    if not isinstance(w, Word):
+        raise ValueError(f"w must be a Word, got {w!r}")
     if any(a.inverted for a in w):
         raise ValueError(f"numeral words carry no inverse marks: {w}")
     return free_reduce(w, ZERO.name)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -430,3 +431,47 @@ def test_installed_entry_point(tmp_path):
     installed = shutil.which("relcalc")
     if installed:
         _check_console_script(installed)
+
+
+# Each example line of README.md's `## CLI` block, as written there, with
+# the exit code and the last stdout lines its comment states (None where
+# the comment states no output).
+README_CLI = {
+    'relcalc parse "[x (y z)]"                  # -> x y z': (0, ["x y z"]),
+    'relcalc prove --system dit "x y = y"       # one-step proof, exit 0; ids ignore case': (0, None),
+    'relcalc prove --system dit+ --hyp "y = z" "y = y y y"': (0, None),
+    'relcalc prove --system dit "z x = z"       # no proof: exit 2, bounds on stderr': (2, None),
+    'relcalc prove --system dits --format json "x x = x" > proof.json': (0, None),
+    'relcalc check proof.json                   # "ok", or the failing step': (0, ["ok"]),
+    'relcalc suite er                           # 9/9 proved': (0, ["9/9 proved"]),
+    'relcalc models --system dgss --size 4 --count-only   # 16': (0, ["16"]),
+    'relcalc models --system dgs --size 6 --count-only    # 480: Z6 and S3, well under a second':
+        (0, ["480"]),
+    'relcalc models --system dit --size 3 --limit 1       # smallest model, as a table': (0, None),
+    'relcalc peano eval "0 (1 1)"               # "1 1", then "= 2"; inverse marks exit 1':
+        (0, ["1 1", "= 2"]),
+    'relcalc peano verify --max 64              # --max is 2 to 256; above 256 exits 1': (0, None),
+    'relcalc peano zero-demo': (0, None),
+}
+
+
+def test_readme_cli_examples_hold(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert sorted(lines) == sorted(README_CLI)
+    monkeypatch.chdir(tmp_path)  # where the examples write and read proof.json
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        target = None
+        if ">" in argv:
+            argv, target = argv[:argv.index(">")], argv[-1]
+        assert argv[0] == "relcalc"
+        rc, out, err = run(capsys, *argv[1:])
+        if target is not None:
+            Path(target).write_text(out, encoding="utf-8")
+        code, stated = README_CLI[line]
+        assert rc == code, (line, err)
+        if stated is not None:
+            got = out.splitlines()
+            assert got[len(got) - len(stated):] == stated, line

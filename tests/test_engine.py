@@ -63,6 +63,9 @@ _X, _Y = W("x"), W("y")
     (lambda: neighbors("x y", "dit"), "expected a Word, got 'x y'"),
     (lambda: normalize(_X, "dit", [(_X, Atom("y"))]),
      f"expected a Word, got {Atom('y')!r}"),
+    (lambda: prove_equal("x = y", "dit"), "a goal must be a pair of words, got 'x = y'"),
+    (lambda: prove_equal((_X,), "dit"), f"a goal must be a pair of words, got {(_X,)!r}"),
+    (lambda: prove_equal([_X, _Y], "dit"), f"a goal must be a pair of words, got {[_X, _Y]!r}"),
 ])
 def test_problem_words_must_be_words(call, message):
     with pytest.raises(ValueError) as exc:
@@ -75,6 +78,12 @@ def test_check_proof_rejects_a_malformed_hypothesis():
     res = check_proof(Proof(p.system, (W("x"),), p.goal, p.steps))
     assert not res.ok and res.failed_step is None
     assert res.reason.startswith("a hypothesis must be a pair of words, got Word(")
+
+
+def test_check_proof_rejects_a_malformed_goal():
+    p = _proved("z y = x")
+    res = check_proof(Proof(p.system, p.hypotheses, list(p.goal), p.steps))
+    assert res == CheckResult(False, None, f"a goal must be a pair of words, got {list(p.goal)!r}")
 
 
 def test_system_flags():
@@ -354,16 +363,33 @@ def test_core_matches_reference_loops(problem):
     assert normalize(w, system, hyps) == _reference_normalize(w, system, hyps)
 
 
-@pytest.mark.parametrize("system, goal, max_len, nodes", [
-    ("dits", "x y x = y y", 7, 537),
-    ("dgss", "a b a' = b", 6, 322),
-    ("dgss", "a b = b a", 6, 684),
-    ("dit", "y y = y", 8, 342),
-    ("dgs+", "a b c = c b a", 8, 196),
-])
-def test_exhausting_searches_are_pinned(system, goal, max_len, nodes):
-    res = prove_equal(parse_equation(goal), system, config=SearchConfig(max_word_len=max_len))
-    assert res == NotFound(nodes, None)
+_STOPS = [  # system, goal, max_len, the other bounds, nodes, bound hit
+    ("dits", "x y x = y y", 7, {}, 537, None),
+    ("dgss", "a b a' = b", 6, {}, 322, None),
+    ("dgss", "a b = b a", 6, {}, 684, None),
+    ("dit", "y y = y", 8, {}, 342, None),
+    ("dgs+", "a b c = c b a", 8, {}, 196, None),
+    # a max_nodes stop counts the node that went past the budget
+    ("dit+", "x y x = y y", 6, {"max_nodes": 5}, 6, "max_nodes"),
+    ("dit+", "x y x = y y", 6, {"max_depth": 1}, 2, "max_depth"),
+    ("dit+", "x y x = y y", 6, {"max_depth": 2}, 8, "max_depth"),
+    ("dgss", "a b a' = b", 6, {"max_nodes": 100}, 101, "max_nodes"),
+    ("dgss", "a b a' = b", 6, {"max_depth": 3}, 137, "max_depth"),
+    ("dit", "x y = y x", 8, {"max_nodes": 50}, 51, "max_nodes"),
+    ("dits", "x y x = y y", 7, {"max_depth": 4}, 71, "max_depth"),
+]
+
+
+def _stop_id(row):
+    system, goal, max_len, bounds, nodes, _ = row
+    return "-".join([system, goal, str(max_len), str(nodes), *(f"{k}={v}" for k, v in bounds.items())])
+
+
+@pytest.mark.parametrize("system, goal, max_len, bounds, nodes, bound", _STOPS,
+                         ids=[_stop_id(row) for row in _STOPS])
+def test_exhausting_searches_are_pinned(system, goal, max_len, bounds, nodes, bound):
+    config = SearchConfig(max_word_len=max_len, **bounds)
+    assert prove_equal(parse_equation(goal), system, config=config) == NotFound(nodes, bound)
 
 
 def _count_tables(monkeypatch):
@@ -507,12 +533,10 @@ def test_prove_not_found_exhausts_component():
 def test_prove_not_found_reports_bound():
     res = prove_equal((W("x"), W("y y y y")), "dit",
                       config=SearchConfig(max_word_len=6, max_nodes=5))
-    assert isinstance(res, NotFound)
-    assert res.bound_hit == "max_nodes"
+    assert res == NotFound(6, "max_nodes")
     res = prove_equal((W("x"), W("y y y y")), "dit",
                       config=SearchConfig(max_word_len=5, max_depth=1))
-    assert isinstance(res, NotFound)
-    assert res.bound_hit == "max_depth"
+    assert res == NotFound(2, "max_depth")
 
 
 def test_prove_rejects_marks_outside_dgss():

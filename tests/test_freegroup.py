@@ -46,6 +46,19 @@ def test_is_reduced():
     assert is_reduced(W("a a"))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: free_reduce("a b"), "w must be a Word, got 'a b'"),
+    (lambda: invert("a"), "w must be a Word, got 'a'"),
+    (lambda: is_reduced("a"), "w must be a Word, got 'a'"),
+    (lambda: equal_dgss("a", parse_word("a")), "u must be a Word, got 'a'"),
+    (lambda: equal_dgss(parse_word("a"), "a"), "v must be a Word, got 'a'"),
+], ids=["free_reduce", "invert", "is_reduced", "equal_dgss-u", "equal_dgss-v"])
+def test_decider_functions_take_only_words(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_equal_dgss():
     assert equal_dgss(W("a b b'"), W("a"))
     assert equal_dgss(W("e"), W("c c'"))

@@ -497,6 +497,18 @@ def test_a_system_outside_the_table_is_read_from_its_rules():
     assert v.detail == "missing designated element(s): x, y"
 
 
+def test_pins_that_clash_at_the_first_designation_leave_no_model():
+    # x y -> y and x y -> x pin x*y to both y and x, which must differ
+    clash = RuleSystem("CLASH", (AX6, Rule("xy", GROUND, lhs=parse_word("x y"),
+                                           rhs=parse_word("x"))), ("x", "y", "z"))
+    assert [count_models(clash, n) for n in range(1, 6)] == [0] * 5
+    assert find_min_model(clash, 5) is None
+    # at n = 3 every designation of x, y, z relabels to 0, 1, 2
+    d = {"x": 0, "y": 1, "z": 2}
+    for cells in itertools.product(range(3), repeat=9):
+        assert check_model(Model(3, (cells[:3], cells[3:6], cells[6:]), d), clash) != []
+
+
 @pytest.mark.parametrize("system", [
     RuleSystem("LONG", (Rule("long", GROUND, lhs=parse_word("x y x"), rhs=parse_word("y")),),
                ("x", "y")),

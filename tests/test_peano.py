@@ -41,6 +41,15 @@ def test_eval_zero():
     assert eval_zero(W("0 0")) == W("0")
 
 
+@pytest.mark.parametrize("call, arg", [
+    (succ, "1 1"), (eval_zero, "1 1"), (as_numeral, "1"), (as_numeral, "1 1"), (as_numeral, ["1"]),
+], ids=["succ", "eval_zero", "as_numeral-1", "as_numeral-1 1", "as_numeral-list"])
+def test_numeral_functions_take_only_words(call, arg):
+    with pytest.raises(ValueError) as exc:
+        call(arg)
+    assert str(exc.value) == f"w must be a Word, got {arg!r}"
+
+
 def test_eval_zero_rejects_inverse_marks():
     with pytest.raises(ValueError):
         eval_zero(W("1'"))
@@ -86,6 +95,20 @@ def test_broken_successor_is_caught(monkeypatch):
     rep = peano.verify_peano(8)
     assert not rep.all_passed
     assert [it.ok for it in rep.items] == [True, True, True, False, True]
+
+
+@pytest.mark.parametrize("name, fake, oks", [
+    # the top numeral is its own successor, so successor is not injective
+    ("succ", lambda w: w if len(w) == 8 else Word((ONE,) + w.atoms), [True, True, False, True, True]),
+    # a decider that equates words longer than 2 by length alone
+    ("equal_dgss", lambda u, v: len(u) == len(v) > 2, [True, True, False, True, True]),
+    # an induction test that holds for every table, or for none
+    ("_induction_hypothesis", lambda t: True, [True, True, True, True, False]),
+    ("_induction_hypothesis", lambda t: False, [True, True, True, True, False]),
+], ids=["succ", "equal_dgss", "hypothesis_always", "hypothesis_never"])
+def test_a_broken_helper_fails_its_property(monkeypatch, name, fake, oks):
+    monkeypatch.setattr(peano, name, fake)
+    assert [it.ok for it in verify_peano(8).items] == oks
 
 
 def test_induction_rejects_open_tables():
