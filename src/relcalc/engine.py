@@ -92,6 +92,8 @@ class Rule:
     needs: str | None = None
 
     def __post_init__(self):
+        if type(self.id) is not str:
+            raise ValueError(f"rule id must be a str, got {self.id!r}")
         if not self.id:
             raise ValueError("rule id must be non-empty")
         if self.kind == GROUND:
@@ -113,6 +115,17 @@ class RuleSystem:
     rules: tuple[Rule, ...]
     roles: tuple[str, ...]
     left_inverses: bool = False
+
+    def __post_init__(self):
+        # the search sorts rules by id and the checker keys them by id, so
+        # an id may name one rule only, and none of the hypotheses' hyp<N>
+        ids = set()
+        for r in self.rules:
+            if r.id in ids:
+                raise ValueError(f"rule id {r.id!r} is repeated in {self.name}")
+            if r.id.startswith("hyp") and r.id[3:].isdigit():
+                raise ValueError(f"rule id {r.id!r} in {self.name} is a hypothesis id")
+            ids.add(r.id)
 
     def rule_map(self) -> dict[str, Rule]:
         return {r.id: r for r in self.rules}
@@ -271,6 +284,7 @@ def neighbors(w: Word, system: RuleSystem | str, hypotheses=(),
     and rule-id-minor, with lr before rl; inverse-pair insertions are
     ordered by atom name, unmarked-first pair first."""
     system = make_system(system)
+    max_len = SearchConfig(max_word_len=max_len).max_word_len  # SearchConfig's checks
     hypotheses = tuple(hypotheses)
     _validate_problem(system, (w, w), hypotheses)
     core = _Core(system, hypotheses, (w,))
@@ -505,7 +519,10 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
     count and which bound (if any) stopped the search.
     """
     system = make_system(system)
-    config = config or SearchConfig()
+    if config is None:
+        config = SearchConfig()
+    elif not isinstance(config, SearchConfig):
+        raise ValueError(f"config must be a SearchConfig, got {config!r}")
     hypotheses = tuple(hypotheses)
     _validate_problem(system, goal, hypotheses, config.max_word_len)
     lhs, rhs = goal

@@ -22,12 +22,13 @@ Characters run far past 255, so the test has no size limit; past 127,
 though, `str.translate` leaves its cached ASCII path, and the test
 costs about what the loop does.
 
-The enumerator iterates designation assignments in ascending order and
+The enumerator takes designation assignments in ascending order and
 fills table cells row-major, propagating forced values: equations pin
 or tie cells, and any associativity instance with three of its four
 products known either checks or forces the fourth.  Emission order is
 therefore designation-major, then lexicographic in the flattened
-table, and it is deterministic.
+table, and it is deterministic.  `_pin` closes the table from the
+cells it pins, so no pass rescans the table for placed cells.
 
 Propagation works off a queue of the cells just placed, as SEM and
 Mace4 do: a cell i*j = v rechecks only the associativity instances
@@ -49,19 +50,19 @@ Latin square, hence a group, so the rule also covers every inverse
 obligation.  Pruning only cuts subtrees without models;
 `check_model` still judges every complete table before it is emitted.
 
-Only the first designation, roles -> 0..k-1, is searched; every later
-one gets its models by relabelling.  `_read` admits only equations on
-the roles, so a permutation pi of the carrier that sends the first
-designation to designation v (pi = v followed by the other elements in
-ascending order) preserves pins, ties, identity rows and columns, left
-and two-sided inverses and associativity: T is a model under the first
-designation exactly when T'[a][b] = pi[T[pi^-1 a][pi^-1 b]] is one
-under v, and pi is a bijection on tables.  The first designation's
-models are kept as one itemgetter per row, so a relabelled row is two
-C-level calls.  Each designation's relabelled tables are sorted, which
-keeps the order designation-major, then table-lexicographic, and
-`Model` validates and `check_model` judges every one of them before it
-is emitted.
+Only the first designation, roles -> 0..k-1, is searched, by
+`_first_tables`; `_search` relabels its models for every later one.
+`_read` admits only equations on the roles, so a permutation pi of the
+carrier that sends the first designation to designation v (pi = v
+followed by the other elements in ascending order) preserves pins,
+ties, identity rows and columns, left and two-sided inverses and
+associativity: T is a model under the first designation exactly when
+T'[a][b] = pi[T[pi^-1 a][pi^-1 b]] is one under v, and pi is a
+bijection on tables.  The first designation's models are kept as one
+itemgetter per row, so a relabelled row is two C-level calls.  Each
+designation's relabelled tables are sorted, which keeps the order
+designation-major, then table-lexicographic, and `Model` validates and
+`check_model` judges every one of them before it is emitted.
 """
 
 from __future__ import annotations
@@ -99,7 +100,11 @@ class Model:
                 if type(v) is not int or not 0 <= v < n:
                     raise ValueError(f"malformed table: entry {v!r} outside 0..{n - 1}")
         object.__setattr__(self, "table", rows)
+        if not isinstance(self.designated, dict):
+            raise ValueError(f"designated must be a dict, got {self.designated!r}")
         for k, v in self.designated.items():
+            if type(k) is not str:
+                raise ValueError(f"designated key {k!r} is not a name")
             if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"designated {k}={v!r} outside 0..{n - 1}")
 
@@ -244,12 +249,6 @@ def check_model(m: Model, system, *, _reading=None) -> list[Violation]:
 # enumeration
 
 
-def _designations(roles: tuple[str, ...], n: int):
-    """Every assignment of pairwise distinct elements to `roles`, in
-    ascending lexicographic order."""
-    return (dict(zip(roles, values)) for values in permutations(range(n), len(roles)))
-
-
 def _equate(t, trail, p: int, q: int, r: int, s: int) -> bool:
     """Cells p*q and r*s of `t` must agree: a known one fills an empty one,
     which is queued on `trail`; False if both are known and differ."""
@@ -313,34 +312,31 @@ def _propagate(t: list[list[int | None]], n: int, trail: list[tuple[int, int]],
 
 
 def _pin(t, n, reading, d: dict[str, int]) -> tuple | None:
-    """Place the cells the equations pin under designation `d`, or return
-    None if two pins disagree.  Otherwise return what `_propagate`
-    watches: a map from each tied cell to the cells tied to it, and
-    whether every model is a group, which the reading says by holding
-    "left" or "inverse" (see the module docstring)."""
-    cells, ties, group = [], {}, False
+    """Place the cells the equations pin under designation `d` and close
+    the table from them; None if they clash.  Otherwise return what
+    `_propagate` watches: a map from each tied cell to the cells tied to
+    it, and whether every model is a group (see the module docstring)."""
+    cells, ties, group = {}, {}, False     # cells as an ordered set: row and column e share e*e
     for kind, names in reading:
         if kind == "pin":
             p, q, c = names
-            cells.append((d[p], d[q], d[c]))
+            cells[d[p], d[q], d[c]] = None
         elif kind == "tie":
             p, q, r, s = names
             u, w = (d[p], d[q]), (d[r], d[s])
             ties.setdefault(u, []).append(w)
             ties.setdefault(w, []).append(u)
         elif kind == "row":
-            e = d[names[0]]
-            cells += [(e, k, k) for k in range(n)]
+            cells |= dict.fromkeys((d[names[0]], k, k) for k in range(n))
         elif kind == "col":
-            e = d[names[0]]
-            cells += [(k, e, k) for k in range(n)]
+            cells |= dict.fromkeys((k, d[names[0]], k) for k in range(n))
         else:                   # "left" or "inverse"
             group = True
     for i, j, val in cells:
         if t[i][j] not in (None, val):
             return None
         t[i][j] = val
-    return ties, group
+    return (ties, group) if _propagate(t, n, [c[:2] for c in cells], (ties, group)) else None
 
 
 def iter_models(q: ModelQuery) -> Iterator[Model]:
@@ -349,32 +345,31 @@ def iter_models(q: ModelQuery) -> Iterator[Model]:
     return islice(_search(q.system, q.size, _read(q.system)), q.limit)
 
 
-def _search(system: RuleSystem, n: int, reading) -> Iterator[Model]:
-    """Search the first designation, then relabel its models for each
-    later one (see the module docstring); yield every table that
-    `check_model` passes."""
-    designations = _designations(system.roles, n)
-    first = next(designations, None)
-    if first is None:
-        return
+def _first_tables(system: RuleSystem, n: int, reading) -> Iterator[Model]:
+    """The first designation's models, roles -> 0..k-1, lazily and in
+    `_fill` order; none when the k roles outnumber the n elements."""
+    first = dict(zip(system.roles, range(n)))
     t: list[list[int | None]] = [[None] * n for _ in range(n)]
-    watch = _pin(t, n, reading, first)
-    if watch is None or not _propagate(t, n, [(i, j) for i in range(n) for j in range(n)
-                                             if t[i][j] is not None], watch):
-        return
-    tables = []     # each model of the first designation as a getter per row
-    for table in _fill(t, n, 0, watch):
+    watch = _pin(t, n, reading, first) if len(first) == len(system.roles) else None
+    for table in _fill(t, n, 0, watch) if watch is not None else ():
         m = Model(n, table, dict(first))
         if not check_model(m, system, _reading=reading):  # propagation never replaces the final check
-            tables.append(tuple(starmap(itemgetter, table)))
             yield m
-    for d in designations:      # only when n > 1, so each itemgetter below gives tuples
-        values = tuple(d.values())
+
+
+def _search(system: RuleSystem, n: int, reading) -> Iterator[Model]:
+    """`_first_tables`, then its models relabelled for each later designation."""
+    tables = []     # each model of the first designation as a getter per row
+    for m in _first_tables(system, n, reading):
+        tables.append(tuple(starmap(itemgetter, m.table)))
+        yield m
+    for values in islice(permutations(range(n), len(system.roles)), 1, None):
+        d = dict(zip(system.roles, values))
         pi = values + tuple(a for a in range(n) if a not in values)
         inv = itemgetter(*sorted(range(n), key=pi.__getitem__))
-        # row a of the relabelled table is pi[T[inv a][inv b]] for every b:
-        # inv picks T's rows, each row's getter reads its values off pi,
-        # and inv puts them in column order
+        # row a of the relabelled table is pi[T[inv a][inv b]] for every b: inv
+        # picks T's rows (a tuple, as a later designation needs n > 1), each
+        # row's getter reads its values off pi, and inv puts them in column order
         for table in sorted(tuple([inv(row(pi)) for row in inv(rows)]) for rows in tables):
             m = Model(n, table, dict(d))
             if not check_model(m, system, _reading=reading):

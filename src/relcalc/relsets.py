@@ -30,7 +30,8 @@ UNDECIDED = _Undecided()
 
 def element_of(x: Atom | int, m: Model) -> int:
     """Carrier element `x` denotes: an int index in range, an atom's
-    designated name, or a digit name used as an index."""
+    designated name, or a digit name used as an index, written as
+    `str(k)` writes it (so 01 names nothing)."""
     if type(x) is int:  # bool is an int subclass, but not an index
         if 0 <= x < m.size:
             return x
@@ -43,7 +44,7 @@ def element_of(x: Atom | int, m: Model) -> int:
         return m.designated[x.name]
     if x.name.isdigit():
         k = int(x.name)
-        if 0 <= k < m.size:
+        if str(k) == x.name and k < m.size:
             return k
     raise LookupError(f"unmapped atom {x} in model of size {m.size}")
 

@@ -171,6 +171,7 @@ def test_apply_rule_inverse_cancel():
     (dict(id="r", kind=IDENTITY_ELIM, atom=Atom("e")), "needs its atom and a side"),
     (dict(id="r", kind=IDENTITY_ELIM, atom=Atom("e"), needs="up"), "needs its atom and a side"),
     (dict(id="r", kind="commute"), "unknown rule kind 'commute'"),
+    (dict(id=1, kind=INVERSE_CANCEL), "rule id must be a str, got 1"),
 ])
 def test_malformed_rules_are_refused(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -246,6 +247,17 @@ def test_neighbors_order_is_position_major():
 def test_neighbors_respects_max_len():
     for w2, _ in neighbors(W("x y x y"), "dit", max_len=4):
         assert len(w2) <= 4
+
+
+@pytest.mark.parametrize("max_len, message", [
+    ("3", "max_word_len must be an int, got '3'"),
+    (True, "max_word_len must be an int, got True"),
+    (0, "max_word_len must be at least 1, got 0"),
+])
+def test_neighbors_checks_max_len_as_search_config_does(max_len, message):
+    with pytest.raises(ValueError) as exc:
+        neighbors(W("x y"), "dit", max_len=max_len)
+    assert str(exc.value) == message
 
 
 def test_neighbors_dgss_insertions():
@@ -573,6 +585,13 @@ def test_search_config_bounds_are_ints(field, value, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("config", [(1, 2, 3), 0, {"max_word_len": 3}])
+def test_prove_refuses_a_config_that_is_not_a_search_config(config):
+    with pytest.raises(ValueError) as exc:
+        prove_equal((W("x y"), W("y")), "dit", config=config)
+    assert str(exc.value) == f"config must be a SearchConfig, got {config!r}"
+
+
 def test_prove_rejects_overlong_input():
     cfg = SearchConfig(max_word_len=3)
     with pytest.raises(ValueError):
@@ -758,6 +777,26 @@ def test_proof_under_a_custom_system_checks():
     # a script names only the system, and no built-in system is MINE
     with pytest.raises(ValueError, match="'MINE'"):
         proof_to_dict(p)
+
+
+@pytest.mark.parametrize("rules, message", [
+    ((Rule("hyp1", GROUND, lhs=W("x y"), rhs=W("y")),), "rule id 'hyp1' in MINE is a hypothesis id"),
+    ((AX6, Rule("ax6", GROUND, lhs=W("y x"), rhs=W("x"))), "rule id 'ax6' is repeated in MINE"),
+])
+def test_rule_ids_that_collide_are_refused(rules, message):
+    """The search sorts rules by id and the checker keys them by id, so
+    with a rule hyp1 and the hypothesis a = b, the proof of x y = y that
+    the search found cited hyp1, and the checker replayed a = b there."""
+    with pytest.raises(ValueError) as exc:
+        RuleSystem("MINE", rules, ("x", "y"))
+    assert str(exc.value) == message
+
+
+def test_a_rule_id_that_is_not_hyp_and_digits_is_kept():
+    mine = RuleSystem("MINE", (Rule("hyp", GROUND, lhs=W("x y"), rhs=W("y")),), ("x", "y"))
+    p = prove_equal(parse_equation("x y = y"), mine, [parse_equation("a = b")])
+    assert isinstance(p, Proof) and [s.rule for s in p.steps] == ["hyp"]
+    assert check_proof(p).ok
 
 
 def test_custom_system_named_dit_is_checked_against_its_own_rules():

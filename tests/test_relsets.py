@@ -33,6 +33,9 @@ def test_element_of():
     (True, "True is neither an atom nor a carrier index"),
     (1.0, "1.0 is neither an atom nor a carrier index"),
     ("e", "'e' is neither an atom nor a carrier index"),
+    # a digit name is an index only as str(k) writes it
+    (Atom("01"), "unmapped atom 01 in model of size 3"),
+    (Atom("00"), "unmapped atom 00 in model of size 3"),
 ])
 def test_element_of_reads_only_atoms_and_indices_in_range(x, message):
     with pytest.raises(LookupError) as exc:
