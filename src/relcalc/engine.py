@@ -38,9 +38,10 @@ interned to small ints, words as int tuples, rules compiled to slice
 patterns as far as a call needs them, so finding a redex raises nothing
 and builds no Word.  Words and ProofSteps are built only for the steps
 a proof keeps.
-`neighbors` and `normalize` are thin wrappers over the same core.  The
-checker shares no matching code with it: it replays Words through
-`apply_rule`.  The core is rebuilt for every call and cached nowhere.
+`neighbors` and `normalize` are thin wrappers over the same core, whose
+constructor checks the problem.  The checker checks its own and shares
+no matching code with the core: it replays Words through `apply_rule`.
+The core is rebuilt for every call and cached nowhere.
 
 Everything here is immutable; callers may share systems, proofs and
 configs across threads freely.
@@ -51,7 +52,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .terms import Atom, Word, parse_equation, parse_word, print_word
+from .terms import Atom, Word, check_count, check_word, parse_equation, parse_word, print_word
 
 GROUND = "ground"
 IDENTITY_ELIM = "identity-elim"
@@ -99,8 +100,10 @@ class Rule:
         if self.kind == GROUND:
             if self.lhs is None or self.rhs is None:
                 raise ValueError("ground rule needs both sides")
+            check_word(self.lhs, "lhs")
+            check_word(self.rhs, "rhs")
         elif self.kind == IDENTITY_ELIM:
-            if self.atom is None or self.needs not in ("left", "right"):
+            if not isinstance(self.atom, Atom) or self.needs not in ("left", "right"):
                 raise ValueError("identity-elim rule needs its atom and a side")
         elif self.kind != INVERSE_CANCEL:
             raise ValueError(f"unknown rule kind {self.kind!r}")
@@ -117,6 +120,15 @@ class RuleSystem:
     left_inverses: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"system name must be a str, got {self.name!r}")
+        if type(self.rules) is not tuple or not all(isinstance(r, Rule) for r in self.rules):
+            raise ValueError(f"rules must be a tuple of Rules, got {self.rules!r}")
+        # Atom refuses a role that is not an atom name
+        if type(self.roles) is not tuple or len(set(map(Atom, self.roles))) != len(self.roles):
+            raise ValueError(f"roles must be a tuple of distinct atom names, got {self.roles!r}")
+        if type(self.left_inverses) is not bool:
+            raise ValueError(f"left_inverses must be a bool, got {self.left_inverses!r}")
         # the search sorts rules by id and the checker keys them by id, so
         # an id may name one rule only, and none of the hypotheses' hyp<N>
         ids = set()
@@ -246,11 +258,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("max_word_len", "max_nodes", "max_depth"):
-            value = getattr(self, name)
-            if type(value) is not int:  # bool is an int subclass, but not a bound
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+            check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -283,11 +291,8 @@ def neighbors(w: Word, system: RuleSystem | str, hypotheses=(),
     equations, both directions, every position.  Order is position-major
     and rule-id-minor, with lr before rl; inverse-pair insertions are
     ordered by atom name, unmarked-first pair first."""
-    system = make_system(system)
-    max_len = SearchConfig(max_word_len=max_len).max_word_len  # SearchConfig's checks
-    hypotheses = tuple(hypotheses)
-    _validate_problem(system, (w, w), hypotheses)
-    core = _Core(system, hypotheses, (w,))
+    max_len = check_count("max_word_len", max_len)  # as SearchConfig checks it
+    core = _Core(system, hypotheses, (w, w))
     return [(s.result, s) for s in core.steps(core.expand(core.encode(w), max_len))]
 
 
@@ -320,10 +325,7 @@ def normalize(w: Word, system: RuleSystem | str, hypotheses=()) -> tuple[Word, t
     because each step strictly shrinks the shortlex key; unique normal
     forms are only guaranteed where the oriented rules are confluent
     (DIT+ is, see the tests)."""
-    system = make_system(system)
-    hypotheses = tuple(hypotheses)
-    _validate_problem(system, (w, w), hypotheses)
-    core = _Core(system, hypotheses, (w,))
+    core = _Core(system, hypotheses, (w, w))
     steps = core.steps(core.normalize(core.encode(w))[1])
     return (steps[-1].result if steps else w), steps
 
@@ -358,6 +360,9 @@ _SPAN, _DROP, _INSERT, _CANCEL, _PAIRS = range(5)
 class _Core:
     """The rules of one (system, hypotheses) problem compiled for search.
 
+    The constructor is the search side's one problem check: it resolves
+    `system` and runs `_validate_problem` on the frozen `hypotheses`.
+
     Atoms become the ints `2 * name_index + inverted` over the sorted
     names the problem can ever produce (its words, the hypotheses, the
     rule atoms), so int order is name order and `a ^ 1` is the inverse
@@ -373,9 +378,12 @@ class _Core:
     settles never builds it.
     """
 
-    def __init__(self, system: RuleSystem, hypotheses, words):
+    def __init__(self, system: RuleSystem | str, hypotheses, goal, max_len: int | None = None):
+        self.system = system = make_system(system)
+        self.hypotheses = hypotheses = tuple(hypotheses)
+        _validate_problem(system, goal, hypotheses, max_len)
         hyp_atoms = [a for h in hypotheses for w in h for a in w.atoms]
-        atoms = [a for w in words for a in w.atoms] + hyp_atoms
+        atoms = [a for w in goal for a in w.atoms] + hyp_atoms
         for r in system.rules:
             if r.kind == GROUND:
                 atoms += r.lhs.atoms + r.rhs.atoms
@@ -518,19 +526,16 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
     Returns a Proof that check_proof accepts, or NotFound with the node
     count and which bound (if any) stopped the search.
     """
-    system = make_system(system)
     if config is None:
         config = SearchConfig()
     elif not isinstance(config, SearchConfig):
         raise ValueError(f"config must be a SearchConfig, got {config!r}")
-    hypotheses = tuple(hypotheses)
-    _validate_problem(system, goal, hypotheses, config.max_word_len)
+    core = _Core(system, hypotheses, goal, config.max_word_len)
+    system, hypotheses = core.system, core.hypotheses
     lhs, rhs = goal
-
     if lhs == rhs:
         return Proof(system, hypotheses, goal, ())
 
-    core = _Core(system, hypotheses, goal)
     lt, rt = core.encode(lhs), core.encode(rhs)
     nl, ls = core.normalize(lt)
     nr, rs = core.normalize(rt)

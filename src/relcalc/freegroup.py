@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .terms import Atom, Word
+from .terms import Atom, Word, check_count, check_word
 
 IDENTITY = "e"
 
@@ -36,10 +36,8 @@ def _encode(w: Word, index: dict[str, int], name: str = "w") -> list[int]:
     """The codes of `w`; names not yet in `index` get the next index.
     `index` starts as ``{identity: -1}``.  A `w` that is not a Word is a
     ValueError that calls it by the caller's argument `name`."""
-    if not isinstance(w, Word):
-        raise ValueError(f"{name} must be a Word, got {w!r}")
     codes = []
-    for a in w.atoms:
+    for a in check_word(w, name).atoms:
         i = index.get(a.name)
         if i is None:
             i = index[a.name] = len(index)
@@ -75,11 +73,9 @@ def free_reduce(w: Word, identity: str = IDENTITY) -> Word:
 
 def invert(w: Word, identity: str = IDENTITY) -> Word:
     """Reverse the word and flip every mark; the identity stays unmarked."""
-    if not isinstance(w, Word):
-        raise ValueError(f"w must be a Word, got {w!r}")
     out = tuple(
         Atom(a.name, a.name != identity and not a.inverted)
-        for a in reversed(w.atoms)
+        for a in reversed(check_word(w).atoms)
     )
     return Word(out)
 
@@ -163,10 +159,7 @@ def verify_dgss_lemmas(samples: int, seed: int) -> DeciderReport:
     equals the identity when it reduces to the empty code list.
     Raises ValueError for a non-int count or fewer than one sample.
     """
-    if type(samples) is not int:  # bool is an int subclass, but not a count
-        raise ValueError(f"samples must be an int, got {samples!r}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    check_count("samples", samples)
     rng = random.Random(seed)
     reduce = _reduce
     passed = dict.fromkeys(("lm2a", "lm2b", "lm2c", "lm2d", "pr2e", "pr2f"), 0)

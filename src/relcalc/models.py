@@ -73,6 +73,7 @@ from itertools import combinations, islice, permutations, starmap
 from operator import itemgetter
 
 from .engine import GROUND, IDENTITY_ELIM, SYSTEMS, RuleSystem, make_system
+from .terms import check_count
 
 SIZE_CEILING = 6
 
@@ -138,15 +139,9 @@ class ModelQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "system", make_system(self.system))
-        # type, not isinstance: True would otherwise pass as 1, and 1.5 as a limit
-        if type(self.size) is not int:
-            raise ValueError(f"size must be an int, got {self.size!r}")
-        if self.limit is not None and type(self.limit) is not int:
-            raise ValueError(f"limit must be an int, got {self.limit!r}")
-        if not 1 <= self.size <= SIZE_CEILING:
-            raise ValueError(f"size must be within 1..{SIZE_CEILING}, got {self.size}")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be at least 1, got {self.limit}")
+        check_count("size", self.size, 1, SIZE_CEILING)
+        if self.limit is not None:
+            check_count("limit", self.limit)
 
 
 def _read(system: RuleSystem) -> list[tuple[str, tuple[str, ...]]]:
@@ -408,11 +403,7 @@ def count_models(system, n: int) -> int:
 def find_min_model(system, n_max: int) -> tuple[int, Model] | None:
     """The smallest size admitting a model, with the first model in
     enumeration order, or None up to n_max."""
-    if type(n_max) is not int:  # bool is an int subclass, but not a bound
-        raise ValueError(f"n_max must be an int, got {n_max!r}")
-    if not 1 <= n_max <= SIZE_CEILING:
-        raise ValueError(f"n_max must be within 1..{SIZE_CEILING}, got {n_max}")
-    for n in range(1, n_max + 1):
+    for n in range(1, check_count("n_max", n_max, 1, SIZE_CEILING) + 1):
         m = next(iter_models(ModelQuery(system, n, limit=1)), None)
         if m is not None:
             return n, m

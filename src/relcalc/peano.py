@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .freegroup import equal_dgss, free_reduce
-from .terms import Atom, Word
+from .terms import Atom, Word, check_count, check_word
 
 ONE = Atom("1")
 ZERO = Atom("0")
@@ -22,35 +22,25 @@ K_MAX_CEILING = 256
 
 
 def numeral(k: int) -> Word:
-    if type(k) is not int:  # bool is an int subclass, but not a count
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 1:
-        raise ValueError(f"numerals start at 1, got {k}")
-    return Word((ONE,) * k)
+    return Word((ONE,) * check_count("k", k))
 
 
 def as_numeral(w: Word) -> int | None:
     """The number a word of `1`s stands for, or None if any atom is not `1`."""
-    if not isinstance(w, Word):
-        raise ValueError(f"w must be a Word, got {w!r}")
-    if all(a == ONE for a in w):
+    if all(a == ONE for a in check_word(w)):
         return len(w)
     return None
 
 
 def succ(w: Word) -> Word:
-    if not isinstance(w, Word):
-        raise ValueError(f"w must be a Word, got {w!r}")
-    return Word((ONE,) + w.atoms)
+    return Word((ONE,) + check_word(w).atoms)
 
 
 def eval_zero(w: Word) -> Word:
     """Delete `0` atoms; a word of nothing but zeros keeps a single one.
     Zero is the identity that free reduction deletes; numerals carry no
     inverse marks, so a marked atom is a ValueError."""
-    if not isinstance(w, Word):
-        raise ValueError(f"w must be a Word, got {w!r}")
-    if any(a.inverted for a in w):
+    if any(a.inverted for a in check_word(w)):
         raise ValueError(f"numeral words carry no inverse marks: {w}")
     return free_reduce(w, ZERO.name)
 
@@ -86,9 +76,7 @@ class PeanoReport:
 
 def _induction_hypothesis(table: list[bool]) -> bool:
     # table[k-1] is P(k)
-    if not table[0]:
-        return False
-    return all(table[k + 1] for k in range(len(table) - 1) if table[k])
+    return table[0] and all(table[k + 1] for k in range(len(table) - 1) if table[k])
 
 
 def verify_peano(k_max: int) -> PeanoReport:
@@ -104,13 +92,7 @@ def verify_peano(k_max: int) -> PeanoReport:
        must be rejected, as must 1000 seeded random tables (none of
        which can satisfy the hypothesis without being all-true)
     """
-    if type(k_max) is not int:  # bool is an int subclass, but not a bound
-        raise ValueError(f"k_max must be an int, got {k_max!r}")
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
-    if k_max > K_MAX_CEILING:
-        raise ValueError(f"k_max must be at most {K_MAX_CEILING}, got {k_max}")
-    ns = [numeral(k) for k in range(1, k_max + 1)]
+    ns = [numeral(k) for k in range(1, check_count("k_max", k_max, 2, K_MAX_CEILING) + 1)]
     items = []
 
     one = ns[0]
@@ -135,24 +117,15 @@ def verify_peano(k_max: int) -> PeanoReport:
     ok4 = all(succ(n) != one for n in ns)
     items.append(PeanoItem(4, "1 is no successor", ok4, "lengths exceed 1 after succ"))
 
-    tested = 0
-    rejected = 0
-    ok5 = True
     tables = [[i < m for i in range(k_max)] for m in range(k_max + 1)]
     rng = random.Random(0)
     for _ in range(1000):
         tables.append([rng.random() < 0.5 for _ in range(k_max)])
-    for t in tables:
-        tested += 1
-        if _induction_hypothesis(t):
-            if not all(t):
-                ok5 = False
-        else:
-            rejected += 1
-            if all(t):  # the all-true table does satisfy the hypothesis
-                ok5 = False
+    # a table meets the hypothesis exactly when it is all true
+    closed = [_induction_hypothesis(t) for t in tables]
+    ok5 = closed == [all(t) for t in tables]
     items.append(PeanoItem(5, "induction closure", ok5,
-                           f"{tested} tables, {rejected} rejected as non-closed"))
+                           f"{len(tables)} tables, {closed.count(False)} rejected as non-closed"))
 
     return PeanoReport(k_max, tuple(items))
 

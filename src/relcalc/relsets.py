@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .engine import SYSTEMS, Proof, SearchConfig, make_system, prove_equal
 from .freegroup import equal_dgss
 from .models import Model
-from .terms import Atom, Word
+from .terms import Atom, Word, check_word
 
 
 class _Undecided:
@@ -67,8 +67,7 @@ def is_member(q: Atom, x: Word, universe="symbolic", system: str = "dgss",
     """Whether x satisfies q x = x: a definite bool from a model's table
     or, symbolically under dgss, from free reduction; otherwise a bounded
     proof search gives True or UNDECIDED (absence of a proof refutes nothing)."""
-    if not isinstance(x, Word):
-        raise ValueError(f"x must be a Word, got {x!r}")
+    check_word(x, "x")
     if isinstance(universe, Model):
         qe = element_of(q, universe)
         xe = eval_word(x, universe)

@@ -77,7 +77,7 @@ class Atom:
     inverted: bool = False
 
     def __post_init__(self):
-        if not self.name or not _NAME_CHARS.issuperset(self.name):
+        if not isinstance(self.name, str) or not self.name or not _NAME_CHARS.issuperset(self.name):
             raise ValueError(f"bad atom name {self.name!r}")
         if type(self.inverted) is not bool:
             raise ValueError(f"atom mark must be a bool, got {self.inverted!r}")
@@ -130,6 +130,25 @@ def print_word(w: Word) -> str:
     return " ".join([a.name + "'" if a.inverted else a.name for a in w.atoms])
 
 
+def check_count(name: str, value, lo: int = 1, hi: int | None = None) -> int:
+    """`value` if it is an int (a bool is not) within lo..hi, with no upper
+    bound when `hi` is None; else a ValueError that calls it `name`."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if hi is None and value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value}")
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{name} must be within {lo}..{hi}, got {value}")
+    return value
+
+
+def check_word(w, name: str = "w") -> Word:
+    """`w` if it is a Word, else a ValueError that calls it `name`."""
+    if not isinstance(w, Word):
+        raise ValueError(f"{name} must be a Word, got {w!r}")
+    return w
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -143,6 +162,12 @@ def _combine(items: list[TermTree]) -> TermTree:
     for t in items[1:]:
         out = Node(out, t)
     return out
+
+
+def _text(text) -> str:  # the parser's entry points read only str text
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a str, got {text!r}")
+    return text
 
 
 def _parse(text: str, group=None) -> list[TermTree]:
@@ -207,9 +232,10 @@ def parse(text: str) -> TermTree:
     """Parse `text` into a term tree.
 
     Raises :class:`ParseError` with a byte offset for stray characters,
-    unbalanced or mismatched delimiters, and empty groups or input.
+    unbalanced or mismatched delimiters, and empty groups or input, and
+    a plain ValueError for a `text` that is not a str.
     """
-    return _combine(_parse(text, _combine))
+    return _combine(_parse(_text(text), _combine))
 
 
 def flatten(t: TermTree) -> Word:
@@ -229,7 +255,7 @@ def flatten(t: TermTree) -> Word:
 
 def parse_word(text: str) -> Word:
     """``flatten(parse(text))``, with the same errors, built without the tree."""
-    if _WORD_TEXT.issuperset(text):
+    if _WORD_TEXT.issuperset(_text(text)):
         tokens = text.split()
         atoms = dict.fromkeys(tokens)
         for token in atoms:
@@ -246,7 +272,7 @@ def parse_word(text: str) -> Word:
 
 def parse_equation(text: str) -> tuple[Word, Word]:
     """Split `text` at its single '=' and parse both sides."""
-    cut = text.find("=")
+    cut = _text(text).find("=")
     if cut < 0:
         raise ParseError("expected '=' between two terms", len(text))
     second = text.find("=", cut + 1)

@@ -308,7 +308,12 @@ def test_peano_verify_and_demo(capsys):
 
 def test_peano_verify_above_the_ceiling_is_exit_1(capsys):
     rc, out, err = run(capsys, "peano", "verify", "--max", "1000")
-    assert (rc, out, err) == (1, "", "error: k_max must be at most 256, got 1000\n")
+    assert (rc, out, err) == (1, "", "error: k_max must be within 2..256, got 1000\n")
+
+
+def test_peano_verify_below_the_floor_is_exit_1(capsys):
+    rc, out, err = run(capsys, "peano", "verify", "--max", "1")
+    assert (rc, out, err) == (1, "", "error: k_max must be within 2..256, got 1\n")
 
 
 @pytest.mark.parametrize("argv", [

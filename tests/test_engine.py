@@ -178,6 +178,38 @@ def test_malformed_rules_are_refused(kwargs, message):
         Rule(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    # before, prove_equal met these as 'str' object has no attribute 'atoms'
+    (dict(lhs="x y", rhs=W("y")), "lhs must be a Word, got 'x y'"),
+    (dict(lhs=W("x y"), rhs="y"), "rhs must be a Word, got 'y'"),
+    # and this as 'str' object has no attribute 'name'
+    (dict(kind=IDENTITY_ELIM, atom="e", needs="right"),
+     "identity-elim rule needs its atom and a side"),
+])
+def test_rule_sides_and_atoms_must_be_terms(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        Rule("r", **kwargs)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, (AX6,), ("x", "y")), "system name must be a str, got 1"),
+    (("M", [AX6], ("x", "y")), f"rules must be a tuple of Rules, got {[AX6]!r}"),
+    (("M", ("ax6",), ("x", "y")), "rules must be a tuple of Rules, got ('ax6',)"),
+    # a str of roles was read one character at a time, a blank among them
+    (("M", (AX6,), "x y"), "roles must be a tuple of distinct atom names, got 'x y'"),
+    (("M", (AX6,), ("x", "y", "x")),
+     "roles must be a tuple of distinct atom names, got ('x', 'y', 'x')"),
+    (("M", (AX6,), ("x", " ")), "bad atom name ' '"),
+    (("M", (AX6,), ("x", 1)), "bad atom name 1"),
+    (("M", (AX6,), ("x", "y"), 1), "left_inverses must be a bool, got 1"),
+])
+def test_malformed_systems_are_refused(args, message):
+    with pytest.raises(ValueError) as exc:
+        RuleSystem(*args)
+    assert str(exc.value) == message
+
+
 # every rule whose rl reading is a function of the position, plus a hypothesis
 _POSITIONAL_RULES = sorted({r for s in SYSTEMS.values() for r in s.rules
                             if r.kind != INVERSE_CANCEL}, key=lambda r: r.id) \
@@ -820,6 +852,38 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _sites(found) -> list[tuple[str, str]]:
+    """(module, enclosing class and def) of each node of the package's
+    source for which `found` holds, in source order."""
+    out = []
+
+    def visit(node, where, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."), module)
+                continue
+            if found(child):
+                out.append((module, where))
+            visit(child, where, module)
+
+    for path in sorted(pathlib.Path(relcalc.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "", path.name)
+    return out
+
+
+def test_each_boundary_check_is_made_in_one_place():
+    says = ("must be an int", "must be a Word")
+    texts = _sites(lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
+                   and any(s in n.value for s in says))
+    # Model keeps its own: its checks run once for every model the enumerator emits
+    assert texts == [("models.py", "Model.__post_init__"),
+                     ("terms.py", "check_count"), ("terms.py", "check_word")]
+    calls = _sites(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == "_validate_problem")
+    # the checker stays independent of the search core
+    assert calls == [("engine.py", "_Core.__init__"), ("engine.py", "check_proof")]
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,12 @@ def test_numeral_basics():
     assert numeral(3) == W("1 1 1")
     assert as_numeral(numeral(3)) == 3
     assert str(numeral(2)) == "1 1"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         numeral(0)
-    with pytest.raises(ValueError):
+    assert str(exc.value) == "k must be at least 1, got 0"
+    with pytest.raises(ValueError) as exc:
         numeral(-2)
+    assert str(exc.value) == "k must be at least 1, got -2"
 
 
 def test_as_numeral():
@@ -67,8 +69,9 @@ def test_verify_peano_passes():
 
 
 def test_verify_peano_rejects_tiny_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         verify_peano(1)
+    assert str(exc.value) == "k_max must be within 2..256, got 1"
 
 
 @pytest.mark.parametrize("k", [True, 3.0, "3", None])

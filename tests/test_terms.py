@@ -33,6 +33,8 @@ def test_atom_mark_must_be_a_bool(mark, message):
     ("x'", 'bad atom name "x\'"'),  # a mark is the `inverted` field, not the name
     ("a b", "bad atom name 'a b'"),
     ("é", "bad atom name 'é'"),
+    (["x"], "bad atom name ['x']"),  # passed the character test, then hashed badly
+    (1, "bad atom name 1"),
 ])
 def test_bad_atom_names_are_pinned(name, message):
     with pytest.raises(ValueError) as exc:
@@ -126,6 +128,15 @@ def test_parse_equation():
     lhs, rhs = parse_equation("z y = x")
     assert print_word(lhs) == "z y"
     assert print_word(rhs) == "x"
+
+
+@pytest.mark.parametrize("call", [parse, parse_word, parse_equation])
+@pytest.mark.parametrize("text", [["x"], None, b"x = y"])
+def test_parsers_take_only_str_text(call, text):
+    with pytest.raises(ValueError) as exc:
+        call(text)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"text must be a str, got {text!r}"
 
 
 def test_parse_equation_errors():
