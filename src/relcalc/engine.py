@@ -34,10 +34,10 @@ form) runs first and settles most ground instances without touching
 the frontiers.
 
 The search and normalisation run on a compiled core (`_Core`): atoms
-interned to small ints, words as int tuples, rules compiled to slice
-patterns as far as a call needs them, so finding a redex raises nothing
-and builds no Word.  Words and ProofSteps are built only for the steps
-a proof keeps.
+interned to small ints, each word packed into one int, rules compiled
+to bit patterns as far as a call needs them and filed by the room a
+word has left, so finding a redex raises nothing and builds no Word.
+Words and ProofSteps are built only for the steps a proof keeps.
 `neighbors` and `normalize` are thin wrappers over the same core, whose
 constructor checks the problem.  The checker checks its own and shares
 no matching code with the core: it replays Words through `apply_rule`.
@@ -102,11 +102,23 @@ class Rule:
                 raise ValueError("ground rule needs both sides")
             check_word(self.lhs, "lhs")
             check_word(self.rhs, "rhs")
+            unread = ("atom", "needs")
         elif self.kind == IDENTITY_ELIM:
             if not isinstance(self.atom, Atom) or self.needs not in ("left", "right"):
                 raise ValueError("identity-elim rule needs its atom and a side")
-        elif self.kind != INVERSE_CANCEL:
+            # the search would delete only the marked atom, while the model
+            # reading (identity_name) takes the atom's name for the identity
+            if self.atom.inverted:
+                raise ValueError(f"identity-elim rule needs an unmarked atom, got {self.atom}")
+            unread = ("lhs", "rhs")
+        elif self.kind == INVERSE_CANCEL:
+            unread = ("lhs", "rhs", "atom", "needs")
+        else:
             raise ValueError(f"unknown rule kind {self.kind!r}")
+        # a field the kind never reads would only make equal rules compare unequal
+        for name in unread:
+            if getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} rule takes no {name}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -293,7 +305,7 @@ def neighbors(w: Word, system: RuleSystem | str, hypotheses=(),
     ordered by atom name, unmarked-first pair first."""
     max_len = check_count("max_word_len", max_len)  # as SearchConfig checks it
     core = _Core(system, hypotheses, (w, w))
-    return [(s.result, s) for s in core.steps(core.expand(core.encode(w), max_len))]
+    return [(s.result, s) for s in core.steps(core.expand(core.encode(w.atoms), max_len, True))]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +338,7 @@ def normalize(w: Word, system: RuleSystem | str, hypotheses=()) -> tuple[Word, t
     forms are only guaranteed where the oriented rules are confluent
     (DIT+ is, see the tests)."""
     core = _Core(system, hypotheses, (w, w))
-    steps = core.steps(core.normalize(core.encode(w))[1])
+    steps = core.steps(core.normalize(core.encode(w.atoms))[1])
     return (steps[-1].result if steps else w), steps
 
 
@@ -354,7 +366,14 @@ def reverse_proof(p: Proof) -> Proof:
 # the search core: the same rules, compiled over integer words
 
 # matcher opcodes
-_SPAN, _DROP, _INSERT, _CANCEL, _PAIRS = range(5)
+_SPAN, _DROP, _INSERT, _PAIRS = range(4)
+
+
+def _growth(r: Rule) -> int:
+    # how many atoms an lr application of r adds to a word; rl adds the negative
+    if r.kind == GROUND:
+        return len(r.rhs.atoms) - len(r.lhs.atoms)
+    return -1 if r.kind == IDENTITY_ELIM else -2
 
 
 class _Core:
@@ -363,19 +382,29 @@ class _Core:
     The constructor is the search side's one problem check: it resolves
     `system` and runs `_validate_problem` on the frozen `hypotheses`.
 
-    Atoms become the ints `2 * name_index + inverted` over the sorted
+    Atoms become the codes `2 * name_index + inverted` over the sorted
     names the problem can ever produce (its words, the hypotheses, the
-    rule atoms), so int order is name order and `a ^ 1` is the inverse
-    of `a`; words become tuples of them.  Each rule direction becomes
-    one matcher `(op, rule id, dir, pattern, arg)`, filed under the atom
-    its pattern starts with, so a position only tries matchers that can
-    fire there.  Redexes are found by slice comparison, with no
-    apply_rule call and no exception.  Words and ProofSteps are built
-    only by `decode` and `steps`, from the problem's own Atoms where it
-    holds them, for the words a caller keeps.  The constructor compiles
-    the reducers `normalize` uses; the move table (both directions of
-    every rule) waits for the first `expand`, so a goal normalisation
-    settles never builds it.
+    rule atoms), so code order is name order and `c ^ 1` is the inverse
+    of `c`.  A word is packed into one int: code c is the digit c + 1 in
+    `b` bits, position 0 in the low bits, so the length is read off the
+    bit length and a rewrite is a few shifts and masks.  Each rule
+    direction becomes matchers `(op, rule id, dir, pattern, arg)`: one,
+    or for a pair cancel one span per atom and its inverse.  Each is
+    filed under the digit its pattern starts with (insertions under
+    every digit, digit 0 being the position just past the end), so a
+    position only tries matchers that can fire there.  Redexes are found
+    with no apply_rule call and no exception.  Words and ProofSteps are
+    built only by `decode` and `steps`, from the problem's own Atoms
+    where it holds them, for the words a caller keeps.
+
+    A table is filed by room, `max_len - len(w)`: it holds only the
+    matchers whose result fits, so no move checks a length, and a word
+    at the bound tries no insertion.  The constructor compiles the
+    reducers `normalize` uses (room 0: they never lengthen a word).  The
+    move table for a room (both directions of every rule) is built at
+    the first `expand` of a word with that room, once per call, and
+    every room past the longest move shares the full one; so a goal
+    normalisation settles never builds one.
     """
 
     def __init__(self, system: RuleSystem | str, hypotheses, goal, max_len: int | None = None):
@@ -392,93 +421,132 @@ class _Core:
         known = {(a.name, a.inverted): a for a in atoms}
         order = sorted({a.name for a in atoms})
         self._index = {name: i for i, name in enumerate(order)}
-        self._atoms = [known.get((name, inv)) or Atom(name, inv)
-                       for name in order for inv in (False, True)]
+        self._atoms = [None] + [known.get((name, inv)) or Atom(name, inv)  # by digit
+                                for name in order for inv in (False, True)]
+        self._bits = b = (2 * len(order)).bit_length()
+        self._mask = (1 << b) - 1
         # pair insertion draws on the word's and the hypotheses' names,
         # never the identity's: inserting that is identity-elim's job
         self._pair_names = frozenset(self._index[a.name] for a in hyp_atoms)
         self._no_pair = self._index.get(system.identity_name)
         self._rules = sorted([*system.rules, *hypothesis_rules(hypotheses)], key=lambda r: r.id)
-        self._moves = None
-        self._reducers = self._table(_reducers(self._rules))
+        # the most atoms one move adds: more room than that takes the full table
+        self._reach = max([abs(_growth(r)) for r in self._rules], default=0)
+        self._moves = {}  # room -> move table
+        self._reducers = self._table(_reducers(self._rules), 0)
 
-    def encode(self, atoms) -> tuple[int, ...]:  # a Word or a tuple of Atoms
-        index = self._index
-        return tuple([2 * index[a.name] + a.inverted for a in atoms])
+    def encode(self, atoms: tuple[Atom, ...]) -> int:
+        index, b = self._index, self._bits
+        w = 0
+        for a in reversed(atoms):
+            w = w << b | 2 * index[a.name] + a.inverted + 1
+        return w
 
-    def decode(self, t: tuple[int, ...]) -> Word:
-        atoms = self._atoms
-        return Word(tuple([atoms[c] for c in t]))
+    def decode(self, w: int) -> Word:
+        atoms, b, mask = self._atoms, self._bits, self._mask
+        out = []
+        while w:
+            out.append(atoms[w & mask])
+            w >>= b
+        return Word(tuple(out))
 
     def steps(self, chain) -> tuple[ProofStep, ...]:
-        return tuple(ProofStep(rid, d, pos, self.decode(t)) for t, rid, d, pos in chain)
+        return tuple(ProofStep(rid, d, pos, self.decode(w)) for w, rid, d, pos in chain)
 
-    def _matcher(self, r: Rule, d: str) -> tuple:
+    def _matchers(self, r: Rule, d: str) -> list[tuple]:
+        b = self._bits
         if r.kind == GROUND:
-            pat, rep = (r.lhs, r.rhs) if d == LR else (r.rhs, r.lhs)
-            return (_SPAN, r.id, d, self.encode(pat), self.encode(rep))
+            pat, rep = (r.lhs.atoms, r.rhs.atoms) if d == LR else (r.rhs.atoms, r.lhs.atoms)
+            kb = len(pat) * b
+            # arg: the replacement, the bits it and the pattern take, the pattern's mask
+            return [(_SPAN, r.id, d, self.encode(pat),
+                     (self.encode(rep), len(rep) * b, kb, (1 << kb) - 1))]
         if r.kind == IDENTITY_ELIM:
-            return (_DROP if d == LR else _INSERT, r.id, d,
-                    self.encode((r.atom,)), r.needs == "left")
-        return (_CANCEL if d == LR else _PAIRS, r.id, d, None, None)
+            return [(_DROP if d == LR else _INSERT, r.id, d, self.encode((r.atom,)),
+                     r.needs == "left")]
+        if d == LR:  # a span for each atom: it and its inverse, replaced by nothing
+            arg = (0, 0, 2 * b, (1 << 2 * b) - 1)
+            return [(_SPAN, r.id, d, c | (c - 1 ^ 1) + 1 << b, arg)
+                    for c in range(1, len(self._atoms))]
+        return [(_PAIRS, r.id, d, None, None)]
 
-    def _table(self, moves) -> list[list[tuple]]:
-        """For each atom code, the matchers of the (rule, dir) `moves` to try
-        at a position holding it, in neighbour order; the extra last entry
-        serves the position just past the end, where only insertions fire."""
-        table = [[] for _ in range(len(self._atoms) + 1)]
+    def _table(self, moves, room: int) -> list[list[tuple]]:
+        """For each digit, the matchers of the (rule, dir) `moves` that add
+        at most `room` atoms and can fire at a position holding it, in
+        neighbour order."""
+        table = [[] for _ in range(self._mask + 1)]
         for r, d in moves:
-            m = self._matcher(r, d)
-            # spans and drops fire only on the atom their pattern starts with
-            for row in (table if m[0] in (_INSERT, _PAIRS) else table[:-1] if m[0] == _CANCEL
-                        else (table[m[3][0]],)):
-                row.append(m)
+            if (_growth(r) if d == LR else -_growth(r)) <= room:
+                for m in self._matchers(r, d):
+                    # spans and drops fire only on the digit their pattern starts with
+                    for row in table if m[0] in (_INSERT, _PAIRS) else (table[m[3] & self._mask],):
+                        row.append(m)
         return table
 
-    def _pairs(self, w) -> list[tuple[int, int]]:
-        names = sorted(({c >> 1 for c in w} | self._pair_names) - {self._no_pair})
-        return [pair for i in names for pair in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i))]
+    def _pairs(self, w) -> list[int]:
+        # the packed pairs a a' and a' a, by name, that _PAIRS inserts into w
+        b, mask = self._bits, self._mask
+        names = set(self._pair_names)
+        while w:
+            names.add(((w & mask) - 1) >> 1)
+            w >>= b
+        names.discard(self._no_pair)
+        return [pair for i in sorted(names)
+                for pair in (2 * i + 1 | 2 * i + 2 << b, 2 * i + 2 | 2 * i + 1 << b)]
 
-    def _rewrites(self, w, table, max_len: int):
-        """Yield (result, rule id, dir, pos) for every matcher of `table`
-        that fires on `w` with a result of at most `max_len` atoms, in
-        neighbors() order; the same side conditions as apply_rule."""
-        n = len(w)
+    def _rewrites(self, w, table, steps: bool):
+        """Yield the result of every matcher of `table` that fires on `w`,
+        in neighbors() order and with the same side conditions as
+        apply_rule: as (result, rule id, dir, pos) if `steps`, else bare."""
+        b, mask = self._bits, self._mask
+        last = -(-w.bit_length() // b) - 1
         pairs = None
-        for pos in range(n + 1):
-            for op, rid, d, pat, arg in table[w[pos] if pos < n else -1]:
+        rest, sh = w, 0  # w from pos on, and where that starts in w
+        for pos in range(last + 2):
+            for op, rid, d, pat, arg in table[rest & mask]:
                 if op == _SPAN:
-                    k = len(pat)
-                    if w[pos:pos + k] == pat and n - k + len(arg) <= max_len:
-                        yield w[:pos] + arg + w[pos + k:], rid, d, pos
+                    rep, rb, kb, kmask = arg
+                    # u is 0 only where a cancel would leave no atom at all
+                    if rest & kmask != pat or not (u := w & (1 << sh) - 1 | rep << sh
+                                                   | rest >> kb << sh + rb):
+                        continue
                 elif op == _DROP:  # arg: the neighbour needed is on the left
-                    if (pos > 0 if arg else pos < n - 1) and n - 1 <= max_len:
-                        yield w[:pos] + w[pos + 1:], rid, d, pos
+                    if not (pos > 0 if arg else pos < last):
+                        continue
+                    u = w & (1 << sh) - 1 | rest >> b << sh
                 elif op == _INSERT:
-                    if (pos > 0 if arg else pos < n) and n < max_len:
-                        yield w[:pos] + pat + w[pos:], rid, d, pos
-                elif op == _CANCEL:
-                    if pos + 1 < n and w[pos + 1] == w[pos] ^ 1 and 2 < n and n - 2 <= max_len:
-                        yield w[:pos] + w[pos + 2:], rid, d, pos
-                elif n + 2 <= max_len:  # _PAIRS
+                    if not (pos > 0 if arg else pos <= last):
+                        continue
+                    u = w & (1 << sh) - 1 | pat << sh | rest << sh + b
+                else:  # _PAIRS
                     if pairs is None:
                         pairs = self._pairs(w)
+                    low = w & (1 << sh) - 1
                     for pair in pairs:
-                        yield w[:pos] + pair + w[pos:], rid, d, pos
+                        u = low | pair << sh | rest << sh + 2 * b
+                        yield (u, rid, d, pos) if steps else u
+                    continue
+                yield (u, rid, d, pos) if steps else u
+            rest >>= b
+            sh += b
 
-    def expand(self, w, max_len: int):
-        """The one-step rewrites of `w`, as neighbors() lists them."""
-        if self._moves is None:
-            self._moves = self._table((r, d) for r in self._rules for d in (LR, RL))
-        return self._rewrites(w, self._moves, max_len)
+    def expand(self, w, max_len: int, steps: bool):
+        """The one-step rewrites of `w` of at most `max_len` atoms, as
+        neighbors() lists them: steps as `_rewrites` yields them, or bare
+        results."""
+        room = min(max_len + -w.bit_length() // self._bits, self._reach)
+        table = self._moves.get(room)
+        if table is None:
+            moves = ((r, d) for r in self._rules for d in (LR, RL))
+            table = self._moves[room] = self._table(moves, room)
+        return self._rewrites(w, table, steps)
 
     def normalize(self, w):
         """normalize() on an encoded word: the normal form and the chain
         of (result, rule id, dir, pos) that reaches it."""
         chain = []
         while True:
-            # reducers never lengthen a word, so len(w) bounds nothing
-            hit = next(self._rewrites(w, self._reducers, len(w)), None)
+            hit = next(self._rewrites(w, self._reducers, True), None)
             if hit is None:
                 return w, chain
             chain.append(hit)
@@ -536,15 +604,15 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
     if lhs == rhs:
         return Proof(system, hypotheses, goal, ())
 
-    lt, rt = core.encode(lhs), core.encode(rhs)
+    lt, rt = core.encode(lhs.atoms), core.encode(rhs.atoms)
     nl, ls = core.normalize(lt)
     nr, rs = core.normalize(rt)
     if nl == nr:
         return Proof(system, hypotheses, goal, _join(core, ls, rs, rhs))
 
     # bidirectional BFS over encoded words, side 0 from the left word and
-    # side 1 from the right; seen[k] maps word -> None for the root, else
-    # (predecessor, (word, rule id, dir, pos) of the step into it)
+    # side 1 from the right; seen[k] maps word -> its predecessor, None
+    # for the root
     seen = ({lt: None}, {rt: None})
     frontier = [[lt], [rt]]
     depth = [0, 0]
@@ -566,14 +634,14 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
             nodes += 1
             if nodes > config.max_nodes:
                 return NotFound(nodes, "max_nodes")
-            for hit in core.expand(w, config.max_word_len):
-                w2 = hit[0]
+            for w2 in core.expand(w, config.max_word_len, False):
                 if w2 in mine:
                     continue
-                mine[w2] = (w, hit)
+                mine[w2] = w
                 fresh.append(w2)
                 if w2 in other:
-                    steps = _join(core, _walk(seen[0], w2), _walk(seen[1], w2), rhs)
+                    fwd, bwd = (_walk(core, side, w2, config.max_word_len) for side in seen)
+                    steps = _join(core, fwd, bwd, rhs)
                     return Proof(system, hypotheses, goal, steps, nodes_expanded=nodes)
         frontier[k] = fresh
         depth[k] += 1
@@ -581,12 +649,14 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
             return NotFound(nodes, None)
 
 
-def _walk(seen, w) -> list[tuple]:
-    # the steps (word, rule id, dir, pos) from the root out to w, in root-to-w order
+def _walk(core: _Core, seen, w, max_len: int) -> list[tuple]:
+    # the steps (word, rule id, dir, pos) from the root out to w, in
+    # root-to-w order; each is the first rewrite of its predecessor that
+    # gives the next word, the one the search met that word by
     hits = []
-    while seen[w] is not None:
-        w, hit = seen[w]
-        hits.append(hit)
+    while (prev := seen[w]) is not None:
+        hits.append(next(h for h in core.expand(prev, max_len, True) if h[0] == w))
+        w = prev
     return hits[::-1]
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import hashlib
 import itertools
 import json
 import pathlib
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import relcalc
+import relcalc.suites
 from relcalc import engine
 from relcalc.engine import (AX6, GROUND, IDENTITY_ELIM, INVERSE_CANCEL, LR, RL,
                             SYSTEM_NAMES, SYSTEMS, CheckResult, EmptyResult,
@@ -190,6 +192,39 @@ def test_rule_sides_and_atoms_must_be_terms(kwargs, message):
     with pytest.raises(ValueError) as exc:
         Rule("r", **kwargs)
     assert str(exc.value) == message
+
+
+def test_an_identity_rule_refuses_a_marked_atom():
+    # prove_equal read it as "delete e'", count_models as "e is a left identity"
+    with pytest.raises(ValueError) as exc:
+        Rule("d", IDENTITY_ELIM, atom=Atom("e", True), needs="right")
+    assert str(exc.value) == "identity-elim rule needs an unmarked atom, got e'"
+
+
+_PAIR = W("a a'")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(kind=GROUND, lhs=W("x y"), rhs=W("y"), atom=Atom("q"), needs="up"),
+     f"ground rule takes no atom, got {Atom('q')!r}"),
+    (dict(kind=GROUND, lhs=W("x y"), rhs=W("y"), needs="left"),
+     "ground rule takes no needs, got 'left'"),
+    (dict(kind=IDENTITY_ELIM, atom=Atom("e"), needs="right", rhs=W("e")),
+     f"identity-elim rule takes no rhs, got {W('e')!r}"),
+    (dict(kind=INVERSE_CANCEL, lhs=_PAIR, rhs=W("e")),
+     f"inverse-cancel rule takes no lhs, got {_PAIR!r}"),
+    (dict(kind=INVERSE_CANCEL, needs="left"), "inverse-cancel rule takes no needs, got 'left'"),
+])
+def test_rules_refuse_fields_their_kind_never_reads(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        Rule("r", **kwargs)
+    assert str(exc.value) == message
+
+
+def test_the_built_in_rules_read_only_their_fields():
+    rules = [r for s in SYSTEMS.values() for r in s.rules] \
+        + hypothesis_rules([(W("x y"), W("y")), (W("a'"), W("e"))])
+    assert all(dataclasses.replace(r) == r for r in rules)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -380,6 +415,11 @@ _NAMES = {"dit": "xyza", "dit+": "xyza", "dits": "xyza",
           "dgs": "abe", "dgs+": "abe", "dgss": "abe"}
 
 
+def _names(prefix, lo, hi):
+    # the word of the atoms prefix<lo> ... prefix<hi - 1>, each a name of its own
+    return Word(tuple(Atom(f"{prefix}{i}") for i in range(lo, hi)))
+
+
 @st.composite
 def _problems(draw):
     system = draw(st.sampled_from(sorted(_NAMES)))
@@ -400,11 +440,27 @@ def _problems(draw):
 # share their table rows with the rule matchers filed under those atoms
 @example(("dgs+", W("a e b e"), [(W("e b"), W("a"))], 6))
 @example(("dgss", W("a' b a"), [(W("a' b"), W("e")), (W("b"), W("a' a"))], 7))
+# packed words past one machine word: 71 names take 8 bits an atom, and
+# words of 24 and 40 atoms run to several 30-bit limbs
+@example(("dgss", _names("n", 0, 40), [(_names("m", 0, 15), _names("m", 15, 30))], 42))
+@example(("dits", W(" ".join(["x y z"] * 8)), [(W("x y"), W("z z z"))], 26))
+@example(("dgss", W(" ".join(["a b' e a'"] * 5)), [(W("a b"), W("b' e"))], 24))
 @settings(max_examples=400, deadline=None)
 def test_core_matches_reference_loops(problem):
     system, w, hyps, max_len = problem
     assert neighbors(w, system, hyps, max_len) == _reference_neighbors(w, system, hyps, max_len)
     assert normalize(w, system, hyps) == _reference_normalize(w, system, hyps)
+
+
+@given(st.lists(st.builds(Atom, st.sampled_from("abe"), st.booleans()), min_size=1, max_size=40))
+@example([Atom("e")])
+@example([Atom(f"n{i}", i % 2 == 1) for i in range(70)] + [Atom("e")])
+def test_encode_and_decode_are_inverse(atoms):
+    w = Word(tuple(atoms))
+    core = engine._Core("dgss", (), (w, w))
+    packed = core.encode(w.atoms)
+    assert isinstance(packed, int) and core.decode(packed) == w
+    assert -(-packed.bit_length() // core._bits) == len(w)
 
 
 _STOPS = [  # system, goal, max_len, the other bounds, nodes, bound hit
@@ -436,14 +492,74 @@ def test_exhausting_searches_are_pinned(system, goal, max_len, bounds, nodes, bo
     assert prove_equal(parse_equation(goal), system, config=config) == NotFound(nodes, bound)
 
 
+_HARD_GOALS = [  # system, goal, max_len: each side's search runs until it is exhausted
+    ("dits", "x y x = y y", 7), ("dits", "x y x = y y", 8), ("dits", "y y = y", 7),
+    ("dgss", "a b a' = b", 6), ("dgss", "a b a' = b", 7),
+    ("dgss", "a b = b a", 6), ("dgss", "a b = b a", 7), ("dgss", "a = b", 6),
+    ("dit", "x y x = y y", 8), ("dit", "y y = y", 8), ("dit", "y x = x", 8),
+    ("dit+", "x y x = y y", 8), ("dit+", "y y = y", 8), ("dit+", "x y z = z", 8),
+    ("dgs+", "a b = b a", 8), ("dgs+", "a b c = c b a", 8),
+]
+
+_HYPOTHESIS_GOALS = [  # system, hypotheses, goal, max_len, the other bounds
+    ("dit", ("x = y y",), "x y = y", 8, {}),
+    ("dit+", ("x y = z y",), "x = z", 16, {}),
+    ("dits", ("x x = y",), "y x = x y", 7, {}),
+    ("dgs", ("a b = e",), "b a = e", 6, {}),
+    ("dgs+", ("a b = b a", "b c = e"), "a c b = a", 7, {}),
+    ("dgss", ("a b = b a",), "a b a' = b", 6, {}),
+    ("dgss", ("a a = e",), "a' = a", 6, {"max_nodes": 300}),
+    ("dit", ("x y = y x",), "x x y = y", 7, {"max_depth": 3}),
+]
+
+_NEIGHBOR_WORDS = [  # system, hypotheses, word, max_len
+    ("dit", (), "x y z x", 16), ("dit", (), "x y z x", 4), ("dit", (), "x y z", 3),
+    ("dit+", (), "z x z y x", 6), ("dits", (), "y z x y", 5),
+    ("dits", ("x y = z z z",), "x y x y", 6), ("dits", ("x y = z z z",), "x y x y", 4),
+    ("dgs", (), "e a e b e", 7), ("dgs", (), "e", 1), ("dgs", ("e a = b",), "a b e", 4),
+    ("dgs+", (), "a e b e", 5), ("dgs+", (), "e e", 2), ("dgs+", ("e b = a",), "a e b e", 6),
+    ("dgss", (), "a a' b", 5), ("dgss", (), "a a' b", 3), ("dgss", (), "a' e a", 16),
+    ("dgss", ("c = b' a",), "a b' e", 6), ("dgss", ("a' b = e", "b = a' a"), "a' b a", 7),
+]
+
+
+def _search_outputs():
+    """prove_equal on the hard goals, the proof suites' goals and goals with
+    hypotheses, then neighbors on a corpus of words, in that order."""
+    for system, goal, max_len in _HARD_GOALS:
+        yield prove_equal(parse_equation(goal), system,
+                          config=SearchConfig(max_word_len=max_len))
+    for system, rows in relcalc.suites._PROOF_SUITES.values():
+        for _, hyps, goal in rows:
+            yield prove_equal(parse_equation(goal), system, [parse_equation(h) for h in hyps])
+    for system, hyps, goal, max_len, bounds in _HYPOTHESIS_GOALS:
+        yield prove_equal(parse_equation(goal), system, [parse_equation(h) for h in hyps],
+                          SearchConfig(max_word_len=max_len, **bounds))
+    for system, hyps, w, max_len in _NEIGHBOR_WORDS:
+        yield neighbors(W(w), system, [parse_equation(h) for h in hyps], max_len)
+
+
+SEARCH_DIGEST = "b5c50c51d58e8cb8d3059e8383872ae5140753a0a93359dbe57c36304c44ccae"
+
+
+def test_search_outputs_are_pinned():
+    # a regression pin: proofs, node counts and neighbour lists, in order;
+    # any change to the search's order, its bounds or its steps moves it
+    digest = hashlib.sha256()
+    for out in _search_outputs():
+        digest.update(repr(out).encode())
+        digest.update(repr(getattr(out, "nodes_expanded", None)).encode())
+    assert digest.hexdigest() == SEARCH_DIGEST
+
+
 def _count_tables(monkeypatch):
-    # how many matcher tables the search core compiles
+    # the room of each matcher table the search core compiles
     built = []
     original = engine._Core._table
 
-    def counting(core, moves):
-        built.append(None)
-        return original(core, moves)
+    def counting(core, moves, room):
+        built.append(room)
+        return original(core, moves, room)
     monkeypatch.setattr(engine._Core, "_table", counting)
     return built
 
@@ -452,14 +568,21 @@ def test_a_settled_goal_compiles_no_move_table(monkeypatch):
     built = _count_tables(monkeypatch)
     p = prove_equal(parse_equation("z x y = x"), "dit+")
     assert isinstance(p, Proof) and p.nodes_expanded == 0
-    assert len(built) == 1  # the reducers only
+    assert built == [0]  # the reducers only
 
 
 def test_a_searched_goal_compiles_the_move_table_once(monkeypatch):
     built = _count_tables(monkeypatch)
     p = prove_equal(parse_equation("y z = x"), "dits")
     assert isinstance(p, Proof) and p.nodes_expanded > 1
-    assert len(built) == 2  # the reducers, then the moves at the first expansion
+    # the reducers, then the moves at the first expansion; no move adds more
+    # than one atom, so every word with room for one shares the room-1 table
+    assert built == [0, 1]
+    del built[:]
+    config = SearchConfig(max_word_len=7)
+    assert prove_equal(parse_equation("x y x = y y"), "dits", config=config) == NotFound(537, None)
+    # words of 7 atoms, at the bound, take a room-0 table of their own, built once
+    assert built == [0, 1, 0]
 
 
 def test_hypothesis_rule_ids_are_positional():
