@@ -43,6 +43,14 @@ constructor checks the problem.  The checker checks its own and shares
 no matching code with the core: it replays Words through `apply_rule`.
 The core is rebuilt for every call and cached nowhere.
 
+A proof script is read in one pass (`proof_from_dict`): each word text
+is split once at single spaces by `split_word`, against one token ->
+Atom table that lives for that script alone, so each distinct token is
+checked and built once.  A result text that splits is the canonical
+print of its word, so nothing is printed back to compare.  Only a text
+that does not split goes to `parse_word` or `parse_equation`, and they
+report every ParseError with its offset, as before.
+
 Everything here is immutable; callers may share systems, proofs and
 configs across threads freely.
 """
@@ -52,7 +60,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .terms import Atom, Word, check_count, check_word, parse_equation, parse_word, print_word
+from .terms import (Atom, Word, check_count, check_word, parse_equation, parse_word,
+                    print_word, split_word)
 
 GROUND = "ground"
 IDENTITY_ELIM = "identity-elim"
@@ -218,6 +227,7 @@ def apply_rule(w: Word, rule: Rule, pos: int, direction: str = LR) -> Word:
     """
     if direction not in (LR, RL):
         raise ValueError(f"direction must be {LR!r} or {RL!r}, got {direction!r}")
+    check_count("pos", pos, None)  # False is not position 0
     atoms, n = w.atoms, len(w)
     if rule.kind == GROUND:
         pat, rep = (rule.lhs, rule.rhs) if direction == LR else (rule.rhs, rule.lhs)
@@ -395,7 +405,8 @@ class _Core:
     position only tries matchers that can fire there.  Redexes are found
     with no apply_rule call and no exception.  Words and ProofSteps are
     built only by `decode` and `steps`, from the problem's own Atoms
-    where it holds them, for the words a caller keeps.
+    where it holds them, for the words a caller keeps; `decode` builds
+    any other Atom the first time a word needs it.
 
     A table is filed by room, `max_len - len(w)`: it holds only the
     matchers whose result fits, so no move checks a length, and a word
@@ -419,10 +430,10 @@ class _Core:
             elif r.kind == IDENTITY_ELIM:
                 atoms.append(r.atom)
         known = {(a.name, a.inverted): a for a in atoms}
-        order = sorted({a.name for a in atoms})
+        self._names = order = sorted({a.name for a in atoms})
         self._index = {name: i for i, name in enumerate(order)}
-        self._atoms = [None] + [known.get((name, inv)) or Atom(name, inv)  # by digit
-                                for name in order for inv in (False, True)]
+        # by digit; None until decode first needs it
+        self._atoms = [None] + [known.get((name, inv)) for name in order for inv in (False, True)]
         self._bits = b = (2 * len(order)).bit_length()
         self._mask = (1 << b) - 1
         # pair insertion draws on the word's and the hypotheses' names,
@@ -446,7 +457,11 @@ class _Core:
         atoms, b, mask = self._atoms, self._bits, self._mask
         out = []
         while w:
-            out.append(atoms[w & mask])
+            a = atoms[w & mask]
+            if a is None:
+                c = (w & mask) - 1
+                a = atoms[c + 1] = Atom(self._names[c >> 1], bool(c & 1))
+            out.append(a)
             w >>= b
         return Word(tuple(out))
 
@@ -685,8 +700,13 @@ def check_proof(p: Proof) -> CheckResult:
     The empty proof certifies only syntactically identical sides.  An
     lr step must recompute exactly; an rl step must forward-apply on its
     recorded result back to the previous word.  The final word must be
-    the goal's right-hand side.
+    the goal's right-hand side.  A `p` that is not a Proof is a
+    ValueError; a Proof whose parts have the wrong types is rejected.
     """
+    if not isinstance(p, Proof):
+        raise ValueError(f"expected a Proof, got {p!r}")
+    if not isinstance(p.system, RuleSystem):
+        return CheckResult(False, None, f"expected a RuleSystem, got {p.system!r}")
     try:
         _validate_problem(p.system, p.goal, p.hypotheses)
     except ValueError as e:
@@ -695,14 +715,19 @@ def check_proof(p: Proof) -> CheckResult:
 
     cur = p.goal[0]
     for i, st in enumerate(p.steps):
+        if not isinstance(st, ProofStep):
+            return CheckResult(False, i, f"expected a ProofStep, got {st!r}")
         rule = rules.get(st.rule)
         if rule is None:
             return CheckResult(False, i, f"unknown rule {st.rule!r} under {p.system.name}")
         if st.dir not in (LR, RL):
             return CheckResult(False, i, f"bad direction {st.dir!r}")
-        src, dst = (cur, st.result) if st.dir == LR else (st.result, cur)
         try:
+            check_word(st.result, "result")
+            src, dst = (cur, st.result) if st.dir == LR else (st.result, cur)
             out = apply_rule(src, rule, st.pos, LR)
+        except ValueError as e:  # a result or position of the wrong type
+            return CheckResult(False, i, str(e))
         except RewriteError as e:
             return CheckResult(False, i, str(e) if st.dir == LR
                                else f"reverse step does not replay: {e}")
@@ -747,10 +772,27 @@ def proof_to_json(p: Proof) -> str:
     return json.dumps(proof_to_dict(p), indent=2)
 
 
-def proof_from_dict(data: dict) -> Proof:
+def _equation(text: str, atoms: dict[str, Atom]) -> tuple[Word, Word]:
+    # "lhs = rhs" read by split_word against the script's atoms; any other
+    # text goes to parse_equation, whose errors count from the text's start
+    lhs, eq, rhs = text.partition(" = ")
+    if eq:
+        lw, rw = split_word(lhs, atoms), split_word(rhs, atoms)
+        if lw is not None and rw is not None:
+            return lw, rw
+    return parse_equation(text)
+
+
+def proof_from_dict(data: dict, *, noncanonical: list[int] | None = None) -> Proof:
     """Build a Proof from script data.  Raises ValueError on structural
     faults and on a system that is not built in; word-level faults
-    surface later in check_proof_data."""
+    surface later in check_proof_data.
+
+    Each text is split once against one token -> Atom map for the whole
+    script; only a text that does not split goes to the parser.  A
+    result text splits exactly when it is the canonical print of its
+    word: the index of each step whose text does not is appended to
+    `noncanonical`, if given."""
     if not isinstance(data, dict):
         raise ValueError("proof script must be a JSON object")
     try:
@@ -764,8 +806,9 @@ def proof_from_dict(data: dict) -> Proof:
             or not all(isinstance(t, str) for t in hyp_texts) \
             or not isinstance(goal_text, str) or not isinstance(step_items, list):
         raise ValueError("proof script field has the wrong shape")
-    hypotheses = tuple(parse_equation(t) for t in hyp_texts)
-    goal = parse_equation(goal_text)
+    atoms: dict[str, Atom] = {}
+    hypotheses = tuple(_equation(t, atoms) for t in hyp_texts)
+    goal = _equation(goal_text, atoms)
     steps = []
     for i, item in enumerate(step_items):
         try:
@@ -776,17 +819,22 @@ def proof_from_dict(data: dict) -> Proof:
         if not isinstance(rule, str) or not isinstance(d, str) or not isinstance(pos, int) \
                 or isinstance(pos, bool) or not isinstance(result, str):
             raise ValueError(f"step {i} field has the wrong shape")
-        steps.append(ProofStep(rule, d, pos, parse_word(result)))
+        word = split_word(result, atoms)
+        if word is None:
+            word = parse_word(result)
+            if noncanonical is not None:
+                noncanonical.append(i)
+        steps.append(ProofStep(rule, d, pos, word))
     return Proof(make_system(system), hypotheses, goal, tuple(steps))
 
 
 def check_proof_data(data: dict) -> CheckResult:
-    """Check a proof script.  Result texts are compared textually: each
-    must be the canonical print of its word, then the replay must
-    reproduce it."""
-    p = proof_from_dict(data)
-    for i, item in enumerate(data["steps"]):
-        if print_word(p.steps[i].result) != item["result"]:
-            return CheckResult(False, i,
-                               f"result text {item['result']!r} is not canonical")
+    """Check a proof script.  Each result text must be the canonical
+    print of its word, which proof_from_dict tells while reading it;
+    then the replay must reproduce it."""
+    noncanonical: list[int] = []
+    p = proof_from_dict(data, noncanonical=noncanonical)
+    if noncanonical:
+        i = noncanonical[0]
+        return CheckResult(False, i, f"result text {data['steps'][i]['result']!r} is not canonical")
     return check_proof(p)

@@ -20,12 +20,14 @@ are erased here.
 Most texts are bare words such as ``a b' a c``, so ``parse_word`` first
 asks whether the text holds only name characters, apostrophes and the
 four blanks (space, tab, CR, LF).  Such a text is split at its blanks
-and each distinct ``name`` or ``name'`` token becomes one atom.  Every
-other text, and a token the split cannot read as one atom (``'x``,
-``x''``, ``x'y``), goes to the one-pass parser ``_parse``, as does a
-text with no token at all.  The split path therefore never reports an
-error: each :class:`ParseError`, with its message and offset, comes
-from that one pass, the same for ``parse`` and ``parse_word``.
+by ``split_word``, and each distinct ``name`` or ``name'`` token becomes
+one atom.  Every other text, and a token the split cannot read as one
+atom (``'x``, ``x''``, ``x'y``), goes to the one-pass parser ``_parse``,
+as does a text with no token at all.  The split path therefore never
+reports an error: each :class:`ParseError`, with its message and
+offset, comes from that one pass, the same for ``parse`` and
+``parse_word``.  The proof-script reader calls ``split_word`` at single
+spaces, where a text reads only if it is the printed form of its word.
 
 The apostrophe marks a formal inverse.  Only the free-reduction
 decider (and the proof engine when the active system carries the
@@ -58,7 +60,7 @@ _NAME_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 )
 _BLANKS = " \t\r\n"
-# what a bracket-free word may hold; `parse_word` splits such text itself
+# what a bracket-free word may hold; `parse_word` hands such text to `split_word`
 _WORD_TEXT = _NAME_CHARS | frozenset("'" + _BLANKS)
 
 
@@ -130,11 +132,14 @@ def print_word(w: Word) -> str:
     return " ".join([a.name + "'" if a.inverted else a.name for a in w.atoms])
 
 
-def check_count(name: str, value, lo: int = 1, hi: int | None = None) -> int:
+def check_count(name: str, value, lo: int | None = 1, hi: int | None = None) -> int:
     """`value` if it is an int (a bool is not) within lo..hi, with no upper
-    bound when `hi` is None; else a ValueError that calls it `name`."""
+    bound when `hi` is None and no bound at all when `lo` is None; else a
+    ValueError that calls it `name`."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
+    if lo is None:
+        return value
     if hi is None and value < lo:
         raise ValueError(f"{name} must be at least {lo}, got {value}")
     if hi is not None and not lo <= value <= hi:
@@ -253,20 +258,32 @@ def flatten(t: TermTree) -> Word:
     return Word(tuple(out))
 
 
+def split_word(text: str, atoms: dict[str, Atom], sep: str | None = " ") -> Word | None:
+    """The word of `text` if splitting it at `sep` (at runs of blanks when
+    None) gives only atom tokens, ``name`` or ``name'``; else None.
+
+    Split at single spaces, a text reads exactly when it is the printed
+    form of its word, so a word read this way needs no print to compare.
+    `atoms` maps each token met so far to its Atom: a new token is
+    checked and built once and added, so texts read against one map
+    share their atoms.
+    """
+    tokens = text.split(sep)
+    for token in set(tokens).difference(atoms):
+        inverted = token[-1:] == "'"
+        name = token[:-1] if inverted else token
+        if not name or not _NAME_CHARS.issuperset(name):
+            return None  # '', 'x, x'', x'y, or a bracket or blank
+        atoms[token] = Atom(name, inverted)
+    return Word(tuple(map(atoms.__getitem__, tokens))) if tokens else None
+
+
 def parse_word(text: str) -> Word:
     """``flatten(parse(text))``, with the same errors, built without the tree."""
     if _WORD_TEXT.issuperset(_text(text)):
-        tokens = text.split()
-        atoms = dict.fromkeys(tokens)
-        for token in atoms:
-            inverted = token[-1] == "'"
-            name = token[:-1] if inverted else token
-            if not name or "'" in name:
-                break  # 'x, x'' or x'y: _parse reads or rejects it
-            atoms[token] = Atom(name, inverted)
-        else:
-            if tokens:
-                return Word(tuple(map(atoms.__getitem__, tokens)))
+        word = split_word(text, {}, None)
+        if word is not None:
+            return word
     return Word(tuple(_parse(text)))
 
 

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -828,6 +829,49 @@ def test_check_rejects_bad_direction_and_system():
         proof_from_dict({**proof_to_dict(p), "system": "zzz"})
 
 
+def test_apply_rule_refuses_a_position_that_is_not_an_int():
+    for pos in (False, "0", 0.0):
+        with pytest.raises(ValueError) as exc:
+            apply_rule(W("x y"), AX6, pos)
+        assert str(exc.value) == f"pos must be an int, got {pos!r}"
+    assert apply_rule(W("x y"), AX6, 0) == W("y")
+
+
+def test_check_proof_refuses_what_is_not_a_proof():
+    with pytest.raises(ValueError) as exc:
+        check_proof("x")
+    assert str(exc.value) == "expected a Proof, got 'x'"
+
+
+def _replace_step(p, i, step=None, **fields):
+    # step i replaced by `step`, or by a copy with `fields` changed
+    if step is None:
+        step = dataclasses.replace(p.steps[i], **fields)
+    return dataclasses.replace(p, steps=p.steps[:i] + (step,) + p.steps[i + 1:])
+
+
+@pytest.mark.parametrize("corrupt, expected", [
+    (lambda p: dataclasses.replace(p, system="dit"),
+     (False, None, "expected a RuleSystem, got 'dit'")),
+    (lambda p: _replace_step(p, 0, step="x"), (False, 0, "expected a ProofStep, got 'x'")),
+    (lambda p: _replace_step(p, 1, step=("ax6", LR, 0, "y")),
+     (False, 1, "expected a ProofStep, got ('ax6', 'lr', 0, 'y')")),
+    (lambda p: _replace_step(p, 0, result="x y"), (False, 0, "result must be a Word, got 'x y'")),
+    (lambda p: _replace_step(p, 1, result="y"), (False, 1, "result must be a Word, got 'y'")),
+    (lambda p: _replace_step(p, 0, pos="0"), (False, 0, "pos must be an int, got '0'")),
+    (lambda p: _replace_step(p, 1, pos=False), (False, 1, "pos must be an int, got False")),
+    # the rule is looked up first, as before
+    (lambda p: _replace_step(p, 0, rule="ax9", result="x y"),
+     (False, 0, "unknown rule 'ax9' under DIT")),
+])
+def test_check_proof_rejects_parts_of_the_wrong_type(corrupt, expected):
+    p = _proved("z y y = y")  # ax7 lr 0 to 'x y', then ax6 lr 0 to 'y'
+    assert [(s.rule, s.dir, s.pos, print_word(s.result)) for s in p.steps] == \
+        [("ax7", LR, 0, "x y"), ("ax6", LR, 0, "y")]
+    res = check_proof(corrupt(p))
+    assert (res.ok, res.failed_step, res.reason) == expected
+
+
 def test_check_rejects_marks_under_markless_system():
     res = check_proof(Proof(make_system("dit"), (), (W("a'"), W("a'")), ()))
     assert not res.ok
@@ -918,6 +962,219 @@ def test_script_names_a_built_in_system():
         proof_from_dict(data)
     with pytest.raises(ValueError, match=why):
         check_proof_data(data)
+
+
+# ---------------------------------------------------------------------------
+# script reading: a pinned corpus of malformed scripts, and a differential
+# test against a reader that parses every text and prints every result back
+
+
+_BASES = {  # scripts as `relcalc prove --format json` writes them
+    "dit": {"system": "DIT", "hypotheses": [], "goal": "z y = x",
+            "steps": [{"rule": "ax7", "dir": "lr", "pos": 0, "result": "x"}]},
+    "hyp": {"system": "DIT+", "hypotheses": ["x y = z y"], "goal": "x = z",
+            "steps": [{"rule": "ax7", "dir": "rl", "pos": 0, "result": "z y"},
+                      {"rule": "Lzxz", "dir": "rl", "pos": 0, "result": "z x y"},
+                      {"rule": "hyp1", "dir": "lr", "pos": 1, "result": "z z y"},
+                      {"rule": "ax7", "dir": "lr", "pos": 1, "result": "z x"},
+                      {"rule": "Lzxz", "dir": "lr", "pos": 0, "result": "z"}]},
+}
+
+
+def _edited(base, steps=(), **fields):
+    """A copy of the script `_BASES[base]` with `fields` replaced, and
+    each (index, field, value) of `steps` set in that step."""
+    data = json.loads(json.dumps(_BASES[base]))
+    data.update(fields)
+    for i, key, value in steps:
+        data["steps"][i][key] = value
+    return data
+
+
+def _outcome(fn, data):
+    """What `fn(data)` returns, or the type name and text of what it raised."""
+    try:
+        return fn(data)
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+_OK = CheckResult(True)
+
+
+@pytest.mark.parametrize("data, expected", [
+    (_edited("dit"), _OK),
+    (_edited("hyp"), _OK),
+    # ParseError offsets count from the start of the text, on either side of '='
+    (_edited("hyp", goal="x ( = z"), ("ParseError", "offset 2: unclosed group")),
+    (_edited("hyp", goal="x = z )"), ("ParseError", "offset 6: unmatched ')'")),
+    (_edited("hyp", goal="x = 'z"),
+     ("ParseError", "offset 4: inversion mark must follow an atom")),
+    (_edited("hyp", goal="x  =  z''"), ("ParseError", "offset 8: doubled inversion mark")),
+    (_edited("hyp", goal="x = "), ("ParseError", "offset 3: empty input")),
+    (_edited("hyp", goal="x z"), ("ParseError", "offset 3: expected '=' between two terms")),
+    (_edited("hyp", goal="x = z = y"), ("ParseError", "offset 6: more than one '='")),
+    (_edited("hyp", hypotheses=["x y = z [y"]), ("ParseError", "offset 8: unclosed group")),
+    (_edited("hyp", hypotheses=["x;y = z y"]),
+     ("ParseError", "offset 1: unexpected character ';'")),
+    (_edited("hyp", steps=[(3, "result", "z (x")]), ("ParseError", "offset 2: unclosed group")),
+    (_edited("hyp", steps=[(1, "result", "z x'' y")]),
+     ("ParseError", "offset 4: doubled inversion mark")),
+    (_edited("hyp", steps=[(2, "result", "")]), ("ParseError", "offset 0: empty input")),
+    (_edited("hyp", steps=[(2, "result", "z = y")]),
+     ("ParseError", "offset 2: unexpected character '='")),
+    # a result text must be the canonical print of its word
+    (_edited("dit", steps=[(0, "result", " x")]),
+     CheckResult(False, 0, "result text ' x' is not canonical")),
+    (_edited("dit", steps=[(0, "result", "x ")]),
+     CheckResult(False, 0, "result text 'x ' is not canonical")),
+    (_edited("dit", steps=[(0, "result", "(x)")]),
+     CheckResult(False, 0, "result text '(x)' is not canonical")),
+    (_edited("hyp", steps=[(0, "result", "z  y")]),
+     CheckResult(False, 0, "result text 'z  y' is not canonical")),
+    (_edited("hyp", steps=[(0, "result", "z\ty")]),
+     CheckResult(False, 0, "result text 'z\\ty' is not canonical")),
+    (_edited("hyp", steps=[(3, "result", "z'x")]),
+     CheckResult(False, 3, "result text \"z'x\" is not canonical")),
+    # precedence: every parse and shape fault, then the system, then spelling, then the replay
+    (_edited("hyp", steps=[(0, "result", " z y"), (2, "result", "z z (")]),
+     ("ParseError", "offset 4: unclosed group")),
+    (_edited("hyp", system="zzz", goal="x = ("), ("ParseError", "offset 4: unclosed group")),
+    (_edited("hyp", system="zzz", steps=[(0, "result", " z y")]),
+     ("ValueError", "unknown system 'zzz' (expected one of DIT, DIT+, DITS, DGS, DGS+, DGSS)")),
+    (_edited("hyp", hypotheses=["x y = (z y"], goal="x = z )"),
+     ("ParseError", "offset 6: unclosed group")),
+    (_edited("hyp", steps=[(0, "result", "("), (2, "pos", "1")]),
+     ("ParseError", "offset 0: unclosed group")),
+    (_edited("hyp", steps=[(0, "pos", "0"), (2, "result", "(")]),
+     ("ValueError", "step 0 field has the wrong shape")),
+    (_edited("hyp", steps=[(1, "result", " z x y"), (4, "rule", "zzz")]),
+     CheckResult(False, 1, "result text ' z x y' is not canonical")),
+    (_edited("hyp", steps=[(4, "result", "z'")]),
+     CheckResult(False, 4, "recomputed 'z', step records \"z'\"")),
+    (_edited("hyp", steps=[(3, "result", "z y")]),
+     CheckResult(False, 3, "recomputed 'z x', step records 'z y'")),
+    # goals and hypotheses need only parse: they are not compared with a print
+    (_edited("dit", goal="(z y) = x"), _OK),
+    (_edited("dit", goal="z  y=x"), _OK),
+    (_edited("dit", goal="\tz y = [x]\n"), _OK),
+    (_edited("hyp", hypotheses=["x y=z y"]), _OK),
+    (_edited("hyp", goal="x' = z"), CheckResult(False, None, "inverse marks in \"x'\" need a "
+                                                "system with the inverse-cancel rule, not DIT+")),
+])
+def test_malformed_script_outcomes_are_pinned(data, expected):
+    assert _outcome(check_proof_data, data) == expected
+
+
+def _reference_proof_from_dict(data: dict) -> Proof:
+    """Build a Proof from script data.  Raises ValueError on structural
+    faults and on a system that is not built in; word-level faults
+    surface later in check_proof_data."""
+    if not isinstance(data, dict):
+        raise ValueError("proof script must be a JSON object")
+    try:
+        system = data["system"]
+        hyp_texts = data["hypotheses"]
+        goal_text = data["goal"]
+        step_items = data["steps"]
+    except KeyError as e:
+        raise ValueError(f"proof script is missing the {e.args[0]!r} field") from None
+    if not isinstance(system, str) or not isinstance(hyp_texts, list) \
+            or not all(isinstance(t, str) for t in hyp_texts) \
+            or not isinstance(goal_text, str) or not isinstance(step_items, list):
+        raise ValueError("proof script field has the wrong shape")
+    hypotheses = tuple(parse_equation(t) for t in hyp_texts)
+    goal = parse_equation(goal_text)
+    steps = []
+    for i, item in enumerate(step_items):
+        try:
+            rule, d, pos, result = item["rule"], item["dir"], item["pos"], item["result"]
+        except (TypeError, KeyError):
+            raise ValueError(f"step {i} is missing a field") from None
+        # bool is an int subclass, but "pos": true is not a position
+        if not isinstance(rule, str) or not isinstance(d, str) or not isinstance(pos, int) \
+                or isinstance(pos, bool) or not isinstance(result, str):
+            raise ValueError(f"step {i} field has the wrong shape")
+        steps.append(ProofStep(rule, d, pos, parse_word(result)))
+    return Proof(make_system(system), hypotheses, goal, tuple(steps))
+
+
+def _reference_check_proof_data(data: dict) -> CheckResult:
+    """Check a proof script.  Result texts are compared textually: each
+    must be the canonical print of its word, then the replay must
+    reproduce it."""
+    p = _reference_proof_from_dict(data)
+    for i, item in enumerate(data["steps"]):
+        if print_word(p.steps[i].result) != item["result"]:
+            return CheckResult(False, i,
+                               f"result text {item['result']!r} is not canonical")
+    return check_proof(p)
+
+
+# texts and values a mutation puts in a field, and respellings of its text
+_TEXTS = ["", " ", "x", "x'", "x''", "'x", "x'y", " x", "x ", "x  y", "x\ty", "x\ny",
+          "(x)", "[x y]", "(x", "x)", "x = y", "x=y", "x == y", "= x", "x =", "z y",
+          "z x y", "z z y", "z x", "e a a'", "a a'", "e", "x y = z y", "(z y) = x",
+          "z  y=x", "x = z )", "x = (z", "x ( = z", "x;y", "é", "x = z'", "dit",
+          "DIT+", "dgss", "zzz", "lr", "rl", "up", "ax7", "ax6", "hyp1", "hyp2", "Lzxz",
+          "ax7a", "ax8", "ax9a", "0"]
+_VALUES = _TEXTS + [None, 0, 1, 2, -1, True, 1.5, [], {}, ["x = y"], [1],
+                    {"rule": "ax7"}]
+_RESPELL = [lambda t: " " + t, lambda t: t + " ", lambda t: t.replace(" ", "  ", 1),
+            lambda t: t.replace(" ", "\t", 1), lambda t: f"({t})", lambda t: f"[{t}]",
+            lambda t: t + "'", lambda t: t.replace(" ", "", 1), lambda t: t.replace(" = ", "="),
+            lambda t: t.replace(" ", "' ", 1), lambda t: t[:-1], lambda t: t[1:],
+            lambda t: t.upper()]
+
+
+def _mutate(rng, data):
+    # one change at a random place, most often a word text: a field
+    # dropped, a text respelled, or a field, hypothesis or step replaced
+    slots = [(data, k) for k in data]
+    if isinstance(data.get("hypotheses"), list):
+        slots += [(data["hypotheses"], i) for i in range(len(data["hypotheses"]))]
+    if isinstance(data.get("steps"), list):
+        for i, item in enumerate(data["steps"]):
+            slots.append((data["steps"], i))
+            if isinstance(item, dict):
+                slots += [(item, k) for k in item]
+    if not slots:
+        return
+    texts = [(owner, key) for owner, key in slots if isinstance(owner[key], str)
+             and (owner is not data or key == "goal") and key not in ("rule", "dir")]
+    owner, key = rng.choice(texts if texts and rng.random() < 0.7 else slots)
+    r = rng.random()
+    if isinstance(owner, dict) and r < 0.03:
+        del owner[key]
+    elif isinstance(owner[key], str) and r < 0.7:
+        owner[key] = rng.choice(_RESPELL)(owner[key])
+    elif r < 0.9:
+        owner[key] = rng.choice(_TEXTS)
+    else:
+        owner[key] = rng.choice(_VALUES)
+
+
+def test_script_reading_agrees_with_the_reference_reader():
+    problems = [("z y = x", "dit", ()), ("z y y = y", "dit", ()),
+                ("x = z", "dit+", ("x y = z y",)), ("x y = y x", "dits", ()),
+                ("a e b e = a b", "dgs+", ()), ("a b b' a' = e", "dgss", ()),
+                ("a c = b c", "dgs", ("a = b",))]
+    bases = [proof_to_dict(_proved(goal, system, hyps)) for goal, system, hyps in problems]
+    rng = random.Random(24)
+    differ, kinds = [], set()
+    for _ in range(2000):
+        data = json.loads(json.dumps(rng.choice(bases)))
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, data)
+        want = _outcome(_reference_check_proof_data, data)
+        if _outcome(check_proof_data, data) != want \
+                or _outcome(proof_from_dict, data) != _outcome(_reference_proof_from_dict, data):
+            differ.append(data)
+        kinds.add(want[0] if isinstance(want, tuple) else
+                  "not canonical" if "not canonical" in str(want.reason) else want.ok)
+    assert differ[:5] == []  # the first few scripts read differently, if any
+    # the mutants reach every kind of outcome
+    assert kinds == {True, False, "not canonical", "ParseError", "ValueError"}
 
 
 # ---------------------------------------------------------------------------

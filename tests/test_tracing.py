@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import json
 import pathlib
 import sys
 
@@ -48,3 +49,20 @@ def test_install_then_uninstall_restores_every_original(tracing):
     for m, attrs in before:
         assert [k for k, v in attrs.items() if vars(m).get(k) is not v] == []
     assert [cls for cls, init in inits if cls.__post_init__ is not init] == []
+
+
+def test_a_script_round_trip_is_seen_by_each_layer_it_crosses(tracing):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        proof = relcalc.prove_equal(relcalc.parse_equation("z y y = y"), "dit")
+        script = json.loads(json.dumps(relcalc.proof_to_dict(proof)))
+        assert relcalc.check_proof_data(script).ok
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    metrics, _ = tracer.metrics(1)
+    names = ("engine.script_s", "engine.check_s", "terms.atoms_built")
+    assert [name for name in names if not metrics[name][0] > 0] == []
+    assert metrics["engine.check_steps"][0] == 2
