@@ -223,12 +223,15 @@ def apply_rule(w: Word, rule: Rule, pos: int, direction: str = LR) -> Word:
     Raises NoMatch when the pattern is absent (including the rl case of
     inverse-cancel, whose inserted pair a position cannot determine;
     enumerate those with neighbors()) and EmptyResult when a deletion
-    would erase the whole word.
+    would erase the whole word.  A word, rule or position of the wrong
+    type is a ValueError.
     """
     if direction not in (LR, RL):
         raise ValueError(f"direction must be {LR!r} or {RL!r}, got {direction!r}")
+    if not isinstance(rule, Rule):
+        raise ValueError(f"rule must be a Rule, got {rule!r}")
     check_count("pos", pos, None)  # False is not position 0
-    atoms, n = w.atoms, len(w)
+    atoms, n = check_word(w).atoms, len(w)
     if rule.kind == GROUND:
         pat, rep = (rule.lhs, rule.rhs) if direction == LR else (rule.rhs, rule.lhs)
         k = len(pat)
@@ -707,6 +710,10 @@ def check_proof(p: Proof) -> CheckResult:
         raise ValueError(f"expected a Proof, got {p!r}")
     if not isinstance(p.system, RuleSystem):
         return CheckResult(False, None, f"expected a RuleSystem, got {p.system!r}")
+    for name in ("hypotheses", "steps"):
+        part = getattr(p, name)
+        if not isinstance(part, (tuple, list)):
+            return CheckResult(False, None, f"{name} must be a tuple or list, got {part!r}")
     try:
         _validate_problem(p.system, p.goal, p.hypotheses)
     except ValueError as e:
@@ -717,6 +724,8 @@ def check_proof(p: Proof) -> CheckResult:
     for i, st in enumerate(p.steps):
         if not isinstance(st, ProofStep):
             return CheckResult(False, i, f"expected a ProofStep, got {st!r}")
+        if not isinstance(st.rule, str):
+            return CheckResult(False, i, f"rule must be a rule id, got {st.rule!r}")
         rule = rules.get(st.rule)
         if rule is None:
             return CheckResult(False, i, f"unknown rule {st.rule!r} under {p.system.name}")

@@ -58,11 +58,16 @@ followed by the other elements in ascending order) preserves pins,
 ties, identity rows and columns, left and two-sided inverses and
 associativity: T is a model under the first designation exactly when
 T'[a][b] = pi[T[pi^-1 a][pi^-1 b]] is one under v, and pi is a
-bijection on tables.  The first designation's models are kept as one
-itemgetter per row, so a relabelled row is two C-level calls.  Each
-designation's relabelled tables are sorted, which keeps the order
-designation-major, then table-lexicographic, and `Model` validates and
-`check_model` judges every one of them before it is emitted.
+bijection on tables.  The first designation's tables have few distinct
+rows (111 in the 90 `dits` tables at n=5), so each distinct row is
+numbered once and kept as an itemgetter, and each table as a getter of
+its row numbers.  A later designation relabels every distinct row once,
+two C-level calls each, and builds each table with two more: its getter
+picks the relabelled rows and pi^-1 puts them in order, so all the
+designation's tables share their row tuples.  Each designation's
+relabelled tables are sorted, which keeps the order designation-major,
+then table-lexicographic, and `Model` validates and `check_model`
+judges every one of them before it is emitted.
 """
 
 from __future__ import annotations
@@ -103,7 +108,9 @@ class Model:
         object.__setattr__(self, "table", rows)
         if not isinstance(self.designated, dict):
             raise ValueError(f"designated must be a dict, got {self.designated!r}")
-        for k, v in self.designated.items():
+        d = dict(self.designated)   # a copy, so the caller cannot change it once checked
+        object.__setattr__(self, "designated", d)
+        for k, v in d.items():
             if type(k) is not str:
                 raise ValueError(f"designated key {k!r} is not a name")
             if type(v) is not int or not 0 <= v < n:
@@ -347,26 +354,28 @@ def _first_tables(system: RuleSystem, n: int, reading) -> Iterator[Model]:
     t: list[list[int | None]] = [[None] * n for _ in range(n)]
     watch = _pin(t, n, reading, first) if len(first) == len(system.roles) else None
     for table in _fill(t, n, 0, watch) if watch is not None else ():
-        m = Model(n, table, dict(first))
+        m = Model(n, table, first)
         if not check_model(m, system, _reading=reading):  # propagation never replaces the final check
             yield m
 
 
 def _search(system: RuleSystem, n: int, reading) -> Iterator[Model]:
     """`_first_tables`, then its models relabelled for each later designation."""
-    tables = []     # each model of the first designation as a getter per row
+    index, tables = {}, []      # each distinct row's number; each model's row numbers as a getter
     for m in _first_tables(system, n, reading):
-        tables.append(tuple(starmap(itemgetter, m.table)))
+        tables.append(itemgetter(*[index.setdefault(row, len(index)) for row in m.table]))
         yield m
+    rows = list(starmap(itemgetter, index))     # each distinct row as a getter
     for values in islice(permutations(range(n), len(system.roles)), 1, None):
         d = dict(zip(system.roles, values))
         pi = values + tuple(a for a in range(n) if a not in values)
         inv = itemgetter(*sorted(range(n), key=pi.__getitem__))
-        # row a of the relabelled table is pi[T[inv a][inv b]] for every b: inv
-        # picks T's rows (a tuple, as a later designation needs n > 1), each
-        # row's getter reads its values off pi, and inv puts them in column order
-        for table in sorted(tuple([inv(row(pi)) for row in inv(rows)]) for rows in tables):
-            m = Model(n, table, dict(d))
+        # a row r relabelled is pi[r[inv b]] for every b: its getter reads its
+        # values off pi and inv puts them in column order (a tuple, as a later
+        # designation needs n > 1); row a of a table is row inv a of T relabelled
+        relabelled = [inv(row(pi)) for row in rows]
+        for table in sorted(inv(rows_of(relabelled)) for rows_of in tables):
+            m = Model(n, table, d)
             if not check_model(m, system, _reading=reading):
                 yield m
 

@@ -837,6 +837,15 @@ def test_apply_rule_refuses_a_position_that_is_not_an_int():
     assert apply_rule(W("x y"), AX6, 0) == W("y")
 
 
+def test_apply_rule_refuses_a_word_or_rule_of_the_wrong_type():
+    with pytest.raises(ValueError) as exc:
+        apply_rule("x y", AX6, 0)
+    assert str(exc.value) == "w must be a Word, got 'x y'"
+    with pytest.raises(ValueError) as exc:
+        apply_rule(W("x y"), "ax6", 0)
+    assert str(exc.value) == "rule must be a Rule, got 'ax6'"
+
+
 def test_check_proof_refuses_what_is_not_a_proof():
     with pytest.raises(ValueError) as exc:
         check_proof("x")
@@ -863,6 +872,12 @@ def _replace_step(p, i, step=None, **fields):
     # the rule is looked up first, as before
     (lambda p: _replace_step(p, 0, rule="ax9", result="x y"),
      (False, 0, "unknown rule 'ax9' under DIT")),
+    (lambda p: dataclasses.replace(p, hypotheses=3),
+     (False, None, "hypotheses must be a tuple or list, got 3")),
+    (lambda p: dataclasses.replace(p, steps=3),
+     (False, None, "steps must be a tuple or list, got 3")),
+    (lambda p: _replace_step(p, 1, rule=["ax6"]),
+     (False, 1, "rule must be a rule id, got ['ax6']")),
 ])
 def test_check_proof_rejects_parts_of_the_wrong_type(corrupt, expected):
     p = _proved("z y y = y")  # ax7 lr 0 to 'x y', then ax6 lr 0 to 'y'

@@ -88,6 +88,20 @@ def test_model_fields_cannot_be_reassigned(field, value):
     assert m.key() == (1, ((0,),), (("e", 0),))
 
 
+def test_model_keeps_its_own_copy_of_the_designation():
+    """A caller's dict changed after construction would skip validation:
+    e=7 would raise a bare IndexError in `check_model`, and e=True would
+    read as element 1."""
+    d = {"e": 0}
+    m = Model(2, ((0, 1), (1, 0)), d)
+    d["e"] = 7
+    assert m.designated == {"e": 0}
+    assert check_model(m, "dgs") == []
+    assert format_model(m) == "n=2\n0 1\n1 0\ndesignated: e=0"
+    d["e"] = True
+    assert m.key() == (2, ((0, 1), (1, 0)), (("e", 0),))
+
+
 def test_z3_models_the_whole_dit_family():
     m = Model(3, Z3, {"x": 0, "y": 1, "z": 2})
     for system in ("dit", "dit+", "dits"):
@@ -707,6 +721,22 @@ def test_relabelling_matches_a_search_of_every_designation(system, sizes):
     for n in sizes:
         expected = [m.key() for m in _search_every_designation(system, n)]
         assert [m.key() for m in enumerate_models(ModelQuery(system, n))] == expected
+
+
+@pytest.mark.parametrize("system,n,distinct", [("dits", 5, 111), ("dit", 4, 28)])
+def test_a_designations_models_share_their_rows(system, n, distinct):
+    """Each distinct row of the first designation's tables is relabelled
+    once per later designation, so that designation's tables hold at most
+    that many row objects, not one per row of each table."""
+    s = make_system(system)
+    first = _first_tables(s, n, _read(s))
+    assert len({row for m in first for row in m.table}) == distinct
+    by_designation = {}
+    for m in enumerate_models(ModelQuery(s, n)):
+        by_designation.setdefault(tuple(m.designated.values()), []).append(m)
+    assert len(by_designation) == math.perm(n, 3)
+    for values, found in list(by_designation.items())[1:]:
+        assert len({id(row) for m in found for row in m.table}) <= distinct, values
 
 
 @pytest.mark.parametrize("system", [*sorted(SYSTEMS), *STATED_GROUPS], ids=_name)
