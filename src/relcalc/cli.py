@@ -12,10 +12,11 @@ import argparse
 import json
 import sys
 
+# Building the parser runs engine (system ids, SearchConfig defaults) and
+# suites (suite ids).  models and peano are imported by their handlers,
+# so only those commands run them (submodules load on first use).
 from .engine import (SYSTEMS, NotFound, SearchConfig, check_proof_data,
                      proof_to_json, prove_equal, system_id)
-from .models import ModelQuery, format_model, iter_models
-from .peano import as_numeral, eval_zero, verify_peano, zero_contradiction_demo
 from .suites import SUITE_IDS, run_suite
 from .terms import ParseError, parse_equation, parse_word, print_word
 
@@ -134,6 +135,8 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_models(args) -> int:
+    from .models import ModelQuery, format_model, iter_models
+
     found = iter_models(ModelQuery(args.system, args.size, limit=args.limit))
     if args.count_only:
         print(sum(1 for _ in found))
@@ -146,6 +149,8 @@ def _cmd_models(args) -> int:
 
 
 def _cmd_peano(args) -> int:
+    from .peano import as_numeral, eval_zero, verify_peano, zero_contradiction_demo
+
     if args.peano_cmd == "eval":
         w = eval_zero(parse_word(args.expr))
         print(print_word(w))

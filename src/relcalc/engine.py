@@ -303,6 +303,14 @@ class Proof:
     nodes_expanded: int = field(default=0, compare=False)
 
 
+def check_is_proof(p, name: str = "p") -> Proof:
+    """`p` if it is a Proof, else a ValueError that calls it `name`.
+    (`check_proof` replays a Proof.)"""
+    if not isinstance(p, Proof):
+        raise ValueError(f"{name} must be a Proof, got {p!r}")
+    return p
+
+
 def hypothesis_rules(hypotheses) -> list[Rule]:
     """Hypothesis equations as ground rules hyp1..hypN, ids stable under
     appending more hypotheses later."""
@@ -370,6 +378,7 @@ def _invert_chain(start: Word, steps) -> list[ProofStep]:
 
 def reverse_proof(p: Proof) -> Proof:
     """The same derivation read right to left; proves the swapped goal."""
+    check_is_proof(p)
     steps = _invert_chain(p.goal[0], p.steps)
     return Proof(p.system, p.hypotheses, (p.goal[1], p.goal[0]), tuple(steps),
                  nodes_expanded=p.nodes_expanded)
@@ -706,8 +715,7 @@ def check_proof(p: Proof) -> CheckResult:
     the goal's right-hand side.  A `p` that is not a Proof is a
     ValueError; a Proof whose parts have the wrong types is rejected.
     """
-    if not isinstance(p, Proof):
-        raise ValueError(f"expected a Proof, got {p!r}")
+    check_is_proof(p)
     if not isinstance(p.system, RuleSystem):
         return CheckResult(False, None, f"expected a RuleSystem, got {p.system!r}")
     for name in ("hypotheses", "steps"):
@@ -763,6 +771,7 @@ def check_proof(p: Proof) -> CheckResult:
 def proof_to_dict(p: Proof) -> dict:
     """The script form of `p`.  A script names its system, so `p` must be
     under the built-in system of that name; ValueError otherwise."""
+    check_is_proof(p)
     if SYSTEMS.get(system_id(p.system.name)) != p.system:
         raise ValueError(f"a proof script names only its system, and {p.system.name!r} "
                          f"is not the built-in system of that name")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .terms import Atom, Word, check_count, check_word
+from .terms import Atom, Word, check_count, check_name, check_word
 
 IDENTITY = "e"
 
@@ -63,7 +63,7 @@ def free_reduce(w: Word, identity: str = IDENTITY) -> Word:
     """The unique reduced form of `w`: no identity atoms, no adjacent
     cancelling pair.  A word that cancels away entirely comes back as
     the one-atom identity word."""
-    codes = _encode(w, {identity: -1})
+    codes = _encode(w, {check_name(identity, "identity"): -1})
     stack = _reduce(codes)
     if not stack:
         return Word((Atom(identity),))
@@ -73,6 +73,7 @@ def free_reduce(w: Word, identity: str = IDENTITY) -> Word:
 
 def invert(w: Word, identity: str = IDENTITY) -> Word:
     """Reverse the word and flip every mark; the identity stays unmarked."""
+    check_name(identity, "identity")
     out = tuple(
         Atom(a.name, a.name != identity and not a.inverted)
         for a in reversed(check_word(w).atoms)
@@ -89,7 +90,7 @@ def is_reduced(w: Word, identity: str = IDENTITY) -> bool:
 def equal_dgss(u: Word, v: Word, identity: str = IDENTITY) -> bool:
     """True iff the words denote the same element; equivalently,
     free_reduce(u + invert(v)) is the identity word."""
-    index = {identity: -1}
+    index = {check_name(identity, "identity"): -1}
     return _reduce(_encode(u, index, "u")) == _reduce(_encode(v, index, "v"))
 
 

@@ -194,6 +194,21 @@ def _nonassociative_rows(t) -> list[int]:
             if r.translate(rows) != flat.translate(ta)]
 
 
+def check_is_model(m, name: str = "m") -> Model:
+    """`m` if it is a Model, else a ValueError that calls it `name`.
+    (`check_model` judges a Model against a system.)"""
+    if not isinstance(m, Model):
+        raise ValueError(f"{name} must be a Model, got {m!r}")
+    return m
+
+
+def check_query(q, name: str = "q") -> ModelQuery:
+    """`q` if it is a ModelQuery, else a ValueError that calls it `name`."""
+    if not isinstance(q, ModelQuery):
+        raise ValueError(f"{name} must be a ModelQuery, got {q!r}")
+    return q
+
+
 def check_model(m: Model, system, *, _reading=None) -> list[Violation]:
     """Every violated constraint instance, one Violation each; empty
     means the table is a model of the system.  Associativity is decided
@@ -201,6 +216,7 @@ def check_model(m: Model, system, *, _reading=None) -> list[Violation]:
     reports each violation runs only over the rows it names.  The
     enumerator passes `_reading`, so it reads the rules once and each
     leaf still comes here."""
+    check_is_model(m)
     system = make_system(system)
     roles, reading = system.roles, _reading or _read(system)
     n, t, d = m.size, m.table, m.designated
@@ -344,6 +360,7 @@ def _pin(t, n, reading, d: dict[str, int]) -> tuple | None:
 def iter_models(q: ModelQuery) -> Iterator[Model]:
     """The models of `q`, lazily, in designation-major, table-lexicographic
     order, and at most `limit` of them; the one source of models."""
+    check_query(q)
     return islice(_search(q.system, q.size, _read(q.system)), q.limit)
 
 
@@ -423,6 +440,7 @@ _DESIGNATION_ORDER = tuple(dict.fromkeys(r for s in SYSTEMS.values() for r in s.
 
 
 def format_model(m: Model) -> str:
+    check_is_model(m)
     lines = [f"n={m.size}"]
     for row in m.table:
         lines.append(" ".join(str(v) for v in row))

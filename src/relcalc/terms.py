@@ -129,7 +129,7 @@ class Word:
 
 
 def print_word(w: Word) -> str:
-    return " ".join([a.name + "'" if a.inverted else a.name for a in w.atoms])
+    return " ".join([a.name + "'" if a.inverted else a.name for a in check_word(w).atoms])
 
 
 def check_count(name: str, value, lo: int | None = 1, hi: int | None = None) -> int:
@@ -152,6 +152,21 @@ def check_word(w, name: str = "w") -> Word:
     if not isinstance(w, Word):
         raise ValueError(f"{name} must be a Word, got {w!r}")
     return w
+
+
+def check_term(t, name: str = "t") -> TermTree:
+    """`t` if it is an Atom or a Node, else a ValueError that calls it `name`."""
+    if not isinstance(t, (Atom, Node)):
+        raise ValueError(f"{name} must be an Atom or a Node, got {t!r}")
+    return t
+
+
+def check_name(value, name: str) -> str:
+    """`value` if it is an atom name, a non-empty str of name characters
+    with no mark, else a ValueError that calls it `name`."""
+    if not isinstance(value, str) or not value or not _NAME_CHARS.issuperset(value):
+        raise ValueError(f"{name} must be an atom name, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +260,8 @@ def parse(text: str) -> TermTree:
 
 def flatten(t: TermTree) -> Word:
     """The in-order leaf sequence of `t`.  Iterative; input nesting depth
-    does not hit the interpreter recursion limit."""
+    does not hit the interpreter recursion limit.  A `t` that is not a
+    term, or that holds a part that is not, is a ValueError."""
     out: list[Atom] = []
     todo: list[TermTree] = [t]
     while todo:
@@ -253,6 +269,7 @@ def flatten(t: TermTree) -> Word:
         if isinstance(cur, Atom):
             out.append(cur)
         else:
+            check_term(cur, "t" if cur is t else "a part of t")
             todo.append(cur.right)
             todo.append(cur.left)
     return Word(tuple(out))

@@ -849,7 +849,14 @@ def test_apply_rule_refuses_a_word_or_rule_of_the_wrong_type():
 def test_check_proof_refuses_what_is_not_a_proof():
     with pytest.raises(ValueError) as exc:
         check_proof("x")
-    assert str(exc.value) == "expected a Proof, got 'x'"
+    assert str(exc.value) == "p must be a Proof, got 'x'"
+
+
+@pytest.mark.parametrize("call", [proof_to_dict, proof_to_json, reverse_proof])
+def test_proof_readers_refuse_what_is_not_a_proof(call):
+    with pytest.raises(ValueError) as exc:
+        call("p")
+    assert str(exc.value) == "p must be a Proof, got 'p'"
 
 
 def _replace_step(p, i, step=None, **fields):
@@ -1269,12 +1276,16 @@ def _sites(found) -> list[tuple[str, str]]:
 
 
 def test_each_boundary_check_is_made_in_one_place():
-    says = ("must be an int", "must be a Word")
+    says = ("must be an int", "must be a Word", "must be an Atom or", "must be an atom name",
+            "must be a Model,", "must be a ModelQuery", "must be a Proof")
     texts = _sites(lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
                    and any(s in n.value for s in says))
     # Model keeps its own: its checks run once for every model the enumerator emits
-    assert texts == [("models.py", "Model.__post_init__"),
-                     ("terms.py", "check_count"), ("terms.py", "check_word")]
+    assert texts == [("engine.py", "check_is_proof"),
+                     ("models.py", "Model.__post_init__"), ("models.py", "check_is_model"),
+                     ("models.py", "check_query"), ("terms.py", "check_count"),
+                     ("terms.py", "check_word"), ("terms.py", "check_term"),
+                     ("terms.py", "check_name")]
     calls = _sites(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                    and n.func.id == "_validate_problem")
     # the checker stays independent of the search core

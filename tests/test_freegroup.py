@@ -262,3 +262,17 @@ def _keeps_identity(codes):
 def test_lemma_checker_can_fail(broken, monkeypatch):
     monkeypatch.setattr(freegroup, "_reduce", broken)
     assert not verify_dgss_lemmas(200, seed=9).all_passed
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: free_reduce(W("a e"), 5), "identity must be an atom name, got 5"),
+    (lambda: invert(W("a e"), []), "identity must be an atom name, got []"),
+    (lambda: equal_dgss(W("a"), W("a"), None), "identity must be an atom name, got None"),
+    (lambda: is_reduced(W("a"), "e'"), "identity must be an atom name, got \"e'\""),
+    (lambda: free_reduce(W("a"), ""), "identity must be an atom name, got ''"),
+    (lambda: equal_dgss(W("a"), W("a"), "e f"), "identity must be an atom name, got 'e f'"),
+])
+def test_identity_must_be_an_atom_name(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -997,3 +997,15 @@ def test_dit_family_matches_a_naive_semigroup_filter(n, semigroups, counts):
                  for t in tables if _dit_family_axioms(system, t, x, y, z)]
         assert len(naive) == count
         assert [m.key() for m in enumerate_models(ModelQuery(system, n))] == naive
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: list(iter_models("dgs")), "q must be a ModelQuery, got 'dgs'"),
+    (lambda: enumerate_models(None), "q must be a ModelQuery, got None"),
+    (lambda: check_model("x", "dgs"), "m must be a Model, got 'x'"),
+    (lambda: format_model("x"), "m must be a Model, got 'x'"),
+])
+def test_model_readers_refuse_the_wrong_type(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

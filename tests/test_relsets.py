@@ -203,3 +203,24 @@ def test_russell_report():
         "2: not self-membered",
         "self-membered count: 1",
     ]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: members(Atom("e"), "m"), "m must be a Model, got 'm'"),
+    (lambda: is_subset(0, 0, None), "m must be a Model, got None"),
+    (lambda: subset_report(0, 0, "m"), "m must be a Model, got 'm'"),
+    (lambda: russell_report(None), "m must be a Model, got None"),
+    (lambda: is_function_rel(0, 3), "m must be a Model, got 3"),
+    (lambda: eval_word(W("x"), "m"), "m must be a Model, got 'm'"),
+])
+def test_set_readers_refuse_what_is_not_a_model(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_eval_word_refuses_what_is_not_a_word():
+    m = next(iter_models(ModelQuery("dgs", 2)))
+    with pytest.raises(ValueError) as exc:
+        eval_word("x y", m)
+    assert str(exc.value) == "w must be a Word, got 'x y'"

@@ -229,3 +229,15 @@ def test_parse_word_fails_like_parse(text, edits):
         assert _outcome(parse_word, text) == expected
     else:
         assert parse_word(text) == flatten(expected)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: print_word("x"), "w must be a Word, got 'x'"),
+    (lambda: flatten("x"), "t must be an Atom or a Node, got 'x'"),
+    (lambda: flatten(Node(Atom("x"), "y")), "a part of t must be an Atom or a Node, got 'y'"),
+    (lambda: flatten(None), "t must be an Atom or a Node, got None"),
+])
+def test_print_word_and_flatten_refuse_what_is_not_a_term(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -7,7 +7,9 @@ from __future__ import annotations
 import importlib
 import inspect
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -66,3 +68,52 @@ def test_a_script_round_trip_is_seen_by_each_layer_it_crosses(tracing):
     names = ("engine.script_s", "engine.check_s", "terms.atoms_built")
     assert [name for name in names if not metrics[name][0] > 0] == []
     assert metrics["engine.check_steps"][0] == 2
+
+
+# Run in a fresh interpreter that imports only relcalc and the tracer, so
+# no submodule has run before `install`.  Prints the unwrapped targets, the
+# package names that do not give the wrapper, the calls counted for two
+# traced calls, and after `uninstall` every binding still wrapped and every
+# target whose home binding is not its original.
+_FRESH_INSTALL = """
+import json, sys
+import relcalc, tracing
+
+def bindings():
+    return [(name, attr, value) for name, mod in sorted(sys.modules.items())
+            if name.startswith("relcalc") for attr, value in vars(mod).items()
+            if getattr(value, "__module__", None) == "tracing"]
+
+tracer = tracing.Tracer()
+tracer.install()
+homes = {(layer, name): getattr(getattr(relcalc, layer), name)
+         for layer, names in tracing.TARGETS.items() for name in names}
+print(json.dumps([k for k, f in homes.items() if f.__module__ != "tracing"]))
+print(json.dumps([name for (_, name), f in homes.items()
+                  if name in relcalc.__all__ and getattr(relcalc, name) is not f]))
+tracer.active = True
+relcalc.equal_dgss(relcalc.parse_word("a b"), relcalc.parse_word("a e b"))
+tracer.active = False
+print(json.dumps([tracer.calls["terms.parse_word"], tracer.calls["freegroup.equal_dgss"]]))
+wrapped = len(bindings())
+tracer.uninstall()
+print(json.dumps([wrapped, [f"{name}.{attr}" for name, attr, _ in bindings()]]))
+print(json.dumps([k for k in homes
+                  if getattr(getattr(relcalc, k[0]), k[1]).__module__ != f"relcalc.{k[0]}"]))
+"""
+
+
+def test_install_in_a_fresh_interpreter_wraps_every_target(tracing):
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(pathlib.Path(relcalc.__file__).parents[1]),
+                                         str(BENCH)])}
+    done = subprocess.run([sys.executable, "-W", "error", "-c", _FRESH_INSTALL], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    unwrapped, unseen, calls, (wrapped, left), restored = map(json.loads,
+                                                             done.stdout.splitlines())
+    assert unwrapped == [] and unseen == []
+    assert calls == [2, 1]
+    # every target's home binding, plus the modules that import one by name
+    assert wrapped > sum(map(len, tracing.TARGETS.values()))
+    assert left == [] and restored == []
