@@ -19,7 +19,10 @@ its codes are negative (``-2``, and ``-1`` when marked; ``^ 1`` swaps
 them), and ``_reduce`` deletes every negative code.  ``equal_dgss``
 compares reduced code lists and builds no word; ``free_reduce`` maps
 codes back to the atoms of its input.  ``verify_dgss_lemmas`` samples
-codes directly and checks them through the same ``_reduce``.
+codes directly and checks them through the same ``_reduce``.  Its
+samplers draw with ``getrandbits`` and ``random()`` alone, by the rule
+of ``Random._randbelow``, so each seed draws the instances that
+``choice`` and ``randint`` drew, without their Python layers.
 """
 
 from __future__ import annotations
@@ -115,28 +118,54 @@ class DeciderReport:
 
 
 # Sampled words are code lists over the names a, b, c, d (indices 0-3);
-# an inserted identity is -2.  The samplers make exactly the rng calls,
-# in the same order, that sampling `Word`s of those names made, so a
-# seed draws the same instances as it always has.
+# an inserted identity is -2.  The samplers draw through getrandbits and
+# random() alone, by the rule of CPython's Random._randbelow: a draw below
+# n takes k = n.bit_length() bits and draws again while the value is >= n
+# (so a choice among the four bases takes 3 bits).  They make the same
+# calls, in the same order, as randint/choice over `Word`s of those names
+# did, so a seed draws the same instances as it always has.  The rule was
+# read in CPython 3.11's random.py; tests/test_freegroup.py checks it
+# against randrange for every bound the samplers use.
 _BASES = (0, 2, 4, 6)
 _E = -2
 
 
 def _random_word(rng: random.Random, max_len: int = 6) -> list[int]:
-    return [rng.choice(_BASES) + (rng.random() < 0.5)
-            for _ in range(rng.randint(1, max_len))]
+    bits, random = rng.getrandbits, rng.random
+    k = max_len.bit_length()
+    n = bits(k)  # randint(1, max_len) - 1
+    while n >= max_len:
+        n = bits(k)
+    out = []
+    for _ in range(n + 1):
+        r = bits(3)  # choice(_BASES)
+        while r >= 4:
+            r = bits(3)
+        out.append(_BASES[r] + (random() < 0.5))
+    return out
 
 
 def _fatten(rng: random.Random, w: list[int]) -> list[int]:
     """An unreduced word equal to `w`: sprinkle identity atoms and
     cancelling pairs at random positions."""
+    bits, random = rng.getrandbits, rng.random
     atoms = list(w)
-    for _ in range(rng.randint(0, 3)):
-        pos = rng.randint(0, len(atoms))
-        if rng.random() < 0.4:
+    m = bits(3)  # randint(0, 3)
+    while m >= 4:
+        m = bits(3)
+    for _ in range(m):
+        n = len(atoms) + 1  # randint(0, len(atoms))
+        k = n.bit_length()
+        pos = bits(k)
+        while pos >= n:
+            pos = bits(k)
+        if random() < 0.4:
             atoms.insert(pos, _E)
         else:
-            c = rng.choice(_BASES) + (rng.random() < 0.5)
+            r = bits(3)  # choice(_BASES)
+            while r >= 4:
+                r = bits(3)
+            c = _BASES[r] + (random() < 0.5)
             atoms[pos:pos] = (c, c ^ 1)
     return atoms
 
@@ -158,30 +187,31 @@ def verify_dgss_lemmas(samples: int, seed: int) -> DeciderReport:
     Every property is checked `samples` times with its own derived
     instances; the report carries pass counts per property.  A word
     equals the identity when it reduces to the empty code list.
-    Raises ValueError for a non-int count or fewer than one sample.
+    `seed` is a non-negative int, and a seed always draws the same
+    instances.  Raises ValueError for a non-int count or seed, fewer than
+    one sample or a negative seed.
     """
     check_count("samples", samples)
-    rng = random.Random(seed)
+    rng = random.Random(check_count("seed", seed, 0))
     reduce = _reduce
-    passed = dict.fromkeys(("lm2a", "lm2b", "lm2c", "lm2d", "pr2e", "pr2f"), 0)
+    lm2a = lm2b = lm2c = lm2d = pr2e = pr2f = 0
 
     for _ in range(samples):
         x = _random_word(rng)
         y = _fatten(rng, x)  # equal to x by construction
         s, t = _invert(x), _invert(y)
         same = reduce(s) == reduce(t)
-        passed["lm2a"] += same and not reduce(s + x) and not reduce(t + y)
-        passed["lm2b"] += same and not reduce(x + s) and not reduce(y + t)
+        lm2a += same and not reduce(s + x) and not reduce(t + y)
+        lm2b += same and not reduce(x + s) and not reduce(y + t)
 
         z = _random_word(rng)
-        u = _fatten(rng, _invert(z))  # z u = identity
-        v = _fatten(rng, _invert(z))  # z v = identity
-        passed["lm2c"] += (not reduce(z + u) and not reduce(z + v)
-                           and reduce(u) == reduce(v))
-        u2 = _fatten(rng, _invert(z))
-        v2 = _fatten(rng, _invert(z))
-        passed["lm2d"] += (not reduce(u2 + z) and not reduce(v2 + z)
-                           and reduce(u2) == reduce(v2))
+        zi = _invert(z)
+        u = _fatten(rng, zi)  # z u = identity
+        v = _fatten(rng, zi)  # z v = identity
+        lm2c += not reduce(z + u) and not reduce(z + v) and reduce(u) == reduce(v)
+        u = _fatten(rng, zi)  # u z = identity
+        v = _fatten(rng, zi)
+        lm2d += not reduce(u + z) and not reduce(v + z) and reduce(u) == reduce(v)
 
         # cancellation, both as implication and as its converse: the pair
         # (x, y) is equal half the time and independent otherwise
@@ -189,7 +219,9 @@ def verify_dgss_lemmas(samples: int, seed: int) -> DeciderReport:
         x = _random_word(rng)
         y = _fatten(rng, x) if rng.random() < 0.5 else _random_word(rng)
         same = reduce(x) == reduce(y)
-        passed["pr2e"] += (reduce(z + x) == reduce(z + y)) == same
-        passed["pr2f"] += (reduce(x + z) == reduce(y + z)) == same
+        pr2e += (reduce(z + x) == reduce(z + y)) == same
+        pr2f += (reduce(x + z) == reduce(y + z)) == same
 
+    passed = {"lm2a": lm2a, "lm2b": lm2b, "lm2c": lm2c, "lm2d": lm2d,
+              "pr2e": pr2e, "pr2f": pr2f}
     return DeciderReport({k: (p, samples) for k, p in passed.items()})

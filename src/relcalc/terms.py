@@ -111,6 +111,9 @@ class Word:
         object.__setattr__(self, "atoms", tuple(self.atoms))
         if not self.atoms:
             raise ValueError("a word holds at least one atom")
+        for a in self.atoms:
+            if not isinstance(a, Atom):
+                raise ValueError(f"a word holds only atoms, got {a!r}")
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -174,6 +175,20 @@ def test_verify_lemmas_rejects_fewer_than_one_sample(samples):
         verify_dgss_lemmas(samples, seed=1)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (None, "seed must be an int, got None"),  # would seed from the OS
+    (1.5, "seed must be an int, got 1.5"),
+    ("x", "seed must be an int, got 'x'"),
+    (b"k", "seed must be an int, got b'k'"),
+    (True, "seed must be an int, got True"),
+    (-3, "seed must be at least 0, got -3"),  # would draw as seed 3 does
+])
+def test_verify_lemmas_takes_a_non_negative_int_seed(seed, message):
+    with pytest.raises(ValueError) as exc:
+        verify_dgss_lemmas(10, seed)
+    assert str(exc.value) == message
+
+
 def test_verify_lemmas_deterministic_per_seed():
     a = verify_dgss_lemmas(100, seed=3)
     b = verify_dgss_lemmas(100, seed=3)
@@ -242,6 +257,49 @@ def test_sampler_draws_the_reference_instances(seed, monkeypatch):
     monkeypatch.setattr(freegroup, "_fatten", recording(freegroup._fatten))
     verify_dgss_lemmas(60, seed)
     assert drawn == _reference_draws(60, seed)
+
+
+# every code list the dgss suite's lemma run draws, as drawn by the
+# samplers that called Random.choice and Random.randint
+SUITE_DRAWS_DIGEST = "1db5826999b1253bee07f381e03b6c7cc4e4d012f487e1f45a4261a1b92d96ce"
+
+
+def test_suite_draws_are_pinned(monkeypatch):
+    digest = hashlib.sha256()
+
+    def recording(sampler):
+        def draw(*args):
+            out = sampler(*args)
+            digest.update(repr(out).encode())
+            return out
+        return draw
+
+    monkeypatch.setattr(freegroup, "_random_word", recording(freegroup._random_word))
+    monkeypatch.setattr(freegroup, "_fatten", recording(freegroup._fatten))
+    assert verify_dgss_lemmas(10_000, 42).all_passed
+    assert digest.hexdigest() == SUITE_DRAWS_DIGEST
+
+
+def _below(rng: random.Random, n: int) -> int:
+    # the draw the samplers make inline, by Random._randbelow's rule
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+# choice among 4 bases, randint(1, 6), randint(0, 3), and randint(0, len)
+# for an insert position into a word of up to 15 codes
+@pytest.mark.parametrize("n", range(1, 17), ids=lambda n: f"below-{n}")
+def test_randrange_draws_by_the_samplers_rule(n):
+    for seed in range(300):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = [_below(ours, n) for _ in range(20)]
+        want = [theirs.randrange(n) for _ in range(20)]
+        assert got == want and ours.random() == theirs.random(), (
+            f"randrange({n}) no longer draws by Random._randbelow's rule "
+            f"(seed {seed}); the dgss samplers would draw other instances")
 
 
 def _no_cancellation(codes):

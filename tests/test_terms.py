@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+import relcalc
 from relcalc import terms
 from relcalc.terms import (Atom, Node, ParseError, Word, flatten, parse,
                            parse_equation, parse_word, print_word)
@@ -50,6 +51,32 @@ def test_word_basics():
     assert str(w + Word((Atom("z"),))) == "x y z"
     with pytest.raises(ValueError):
         Word(())
+
+
+@pytest.mark.parametrize("items, message", [
+    (["x"], "a word holds only atoms, got 'x'"),
+    ((Atom("x"), 1), "a word holds only atoms, got 1"),
+    ((Atom("x"), None), "a word holds only atoms, got None"),
+    ((Node(Atom("x"), Atom("y")),), "a word holds only atoms, got Node("
+     "left=Atom(name='x', inverted=False), right=Atom(name='y', inverted=False))"),
+])
+def test_a_word_holds_only_atoms(items, message):
+    with pytest.raises(ValueError) as exc:
+        Word(items)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("consume", [
+    print_word,
+    relcalc.free_reduce,
+    lambda w: relcalc.equal_dgss(w, w),
+    lambda w: relcalc.normalize(w, "dit"),
+], ids=["print_word", "free_reduce", "equal_dgss", "normalize"])
+def test_a_word_of_strings_never_reaches_a_consumer(consume):
+    # each consumer failed with a bare AttributeError on such a word
+    with pytest.raises(ValueError) as exc:
+        consume(Word(["x"]))
+    assert str(exc.value) == "a word holds only atoms, got 'x'"
 
 
 @pytest.mark.parametrize("text,expected", [
