@@ -115,7 +115,8 @@ def _cmd_check(args) -> int:
     except OSError as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
+    # RecursionError: nested too deeply; UnicodeDecodeError: bytes that are not UTF-8
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         print(f"not valid JSON: {exc}", file=sys.stderr)
         return 1
     result = check_proof_data(data)

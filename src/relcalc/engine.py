@@ -60,7 +60,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .terms import (Atom, Word, check_count, check_word, parse_equation, parse_word,
+from .terms import (Atom, Word, check_count, check_is, parse_equation, parse_word,
                     print_word, split_word)
 
 GROUND = "ground"
@@ -109,8 +109,8 @@ class Rule:
         if self.kind == GROUND:
             if self.lhs is None or self.rhs is None:
                 raise ValueError("ground rule needs both sides")
-            check_word(self.lhs, "lhs")
-            check_word(self.rhs, "rhs")
+            check_is(self.lhs, Word, "lhs")
+            check_is(self.rhs, Word, "rhs")
             unread = ("atom", "needs")
         elif self.kind == IDENTITY_ELIM:
             if not isinstance(self.atom, Atom) or self.needs not in ("left", "right"):
@@ -141,15 +141,13 @@ class RuleSystem:
     left_inverses: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValueError(f"system name must be a str, got {self.name!r}")
+        check_is(self.name, str, "system name")
         if type(self.rules) is not tuple or not all(isinstance(r, Rule) for r in self.rules):
             raise ValueError(f"rules must be a tuple of Rules, got {self.rules!r}")
         # Atom refuses a role that is not an atom name
         if type(self.roles) is not tuple or len(set(map(Atom, self.roles))) != len(self.roles):
             raise ValueError(f"roles must be a tuple of distinct atom names, got {self.roles!r}")
-        if type(self.left_inverses) is not bool:
-            raise ValueError(f"left_inverses must be a bool, got {self.left_inverses!r}")
+        check_is(self.left_inverses, bool, "left_inverses")
         # the search sorts rules by id and the checker keys them by id, so
         # an id may name one rule only, and none of the hypotheses' hyp<N>
         ids = set()
@@ -228,10 +226,9 @@ def apply_rule(w: Word, rule: Rule, pos: int, direction: str = LR) -> Word:
     """
     if direction not in (LR, RL):
         raise ValueError(f"direction must be {LR!r} or {RL!r}, got {direction!r}")
-    if not isinstance(rule, Rule):
-        raise ValueError(f"rule must be a Rule, got {rule!r}")
+    check_is(rule, Rule, "rule")
     check_count("pos", pos, None)  # False is not position 0
-    atoms, n = check_word(w).atoms, len(w)
+    atoms, n = check_is(w, Word, "w").atoms, len(w)
     if rule.kind == GROUND:
         pat, rep = (rule.lhs, rule.rhs) if direction == LR else (rule.rhs, rule.lhs)
         k = len(pat)
@@ -303,14 +300,6 @@ class Proof:
     nodes_expanded: int = field(default=0, compare=False)
 
 
-def check_is_proof(p, name: str = "p") -> Proof:
-    """`p` if it is a Proof, else a ValueError that calls it `name`.
-    (`check_proof` replays a Proof.)"""
-    if not isinstance(p, Proof):
-        raise ValueError(f"{name} must be a Proof, got {p!r}")
-    return p
-
-
 def hypothesis_rules(hypotheses) -> list[Rule]:
     """Hypothesis equations as ground rules hyp1..hypN, ids stable under
     appending more hypotheses later."""
@@ -378,7 +367,7 @@ def _invert_chain(start: Word, steps) -> list[ProofStep]:
 
 def reverse_proof(p: Proof) -> Proof:
     """The same derivation read right to left; proves the swapped goal."""
-    check_is_proof(p)
+    check_is(p, Proof, "p")
     steps = _invert_chain(p.goal[0], p.steps)
     return Proof(p.system, p.hypotheses, (p.goal[1], p.goal[0]), tuple(steps),
                  nodes_expanded=p.nodes_expanded)
@@ -432,7 +421,11 @@ class _Core:
 
     def __init__(self, system: RuleSystem | str, hypotheses, goal, max_len: int | None = None):
         self.system = system = make_system(system)
-        self.hypotheses = hypotheses = tuple(hypotheses)
+        try:
+            self.hypotheses = hypotheses = tuple(hypotheses)
+        except TypeError:
+            raise ValueError(f"hypotheses must be an iterable of equations, "
+                             f"got {hypotheses!r}") from None
         _validate_problem(system, goal, hypotheses, max_len)
         hyp_atoms = [a for h in hypotheses for w in h for a in w.atoms]
         atoms = [a for w in goal for a in w.atoms] + hyp_atoms
@@ -621,10 +614,7 @@ def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
     Returns a Proof that check_proof accepts, or NotFound with the node
     count and which bound (if any) stopped the search.
     """
-    if config is None:
-        config = SearchConfig()
-    elif not isinstance(config, SearchConfig):
-        raise ValueError(f"config must be a SearchConfig, got {config!r}")
+    config = SearchConfig() if config is None else check_is(config, SearchConfig, "config")
     core = _Core(system, hypotheses, goal, config.max_word_len)
     system, hypotheses = core.system, core.hypotheses
     lhs, rhs = goal
@@ -715,7 +705,7 @@ def check_proof(p: Proof) -> CheckResult:
     the goal's right-hand side.  A `p` that is not a Proof is a
     ValueError; a Proof whose parts have the wrong types is rejected.
     """
-    check_is_proof(p)
+    check_is(p, Proof, "p")
     if not isinstance(p.system, RuleSystem):
         return CheckResult(False, None, f"expected a RuleSystem, got {p.system!r}")
     for name in ("hypotheses", "steps"):
@@ -740,7 +730,7 @@ def check_proof(p: Proof) -> CheckResult:
         if st.dir not in (LR, RL):
             return CheckResult(False, i, f"bad direction {st.dir!r}")
         try:
-            check_word(st.result, "result")
+            check_is(st.result, Word, "result")
             src, dst = (cur, st.result) if st.dir == LR else (st.result, cur)
             out = apply_rule(src, rule, st.pos, LR)
         except ValueError as e:  # a result or position of the wrong type
@@ -771,7 +761,7 @@ def check_proof(p: Proof) -> CheckResult:
 def proof_to_dict(p: Proof) -> dict:
     """The script form of `p`.  A script names its system, so `p` must be
     under the built-in system of that name; ValueError otherwise."""
-    check_is_proof(p)
+    check_is(p, Proof, "p")
     if SYSTEMS.get(system_id(p.system.name)) != p.system:
         raise ValueError(f"a proof script names only its system, and {p.system.name!r} "
                          f"is not the built-in system of that name")

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .terms import Atom, Word, check_count, check_name, check_word
+from .terms import Atom, Word, check_count, check_is, check_name
 
 IDENTITY = "e"
 
@@ -40,7 +40,7 @@ def _encode(w: Word, index: dict[str, int], name: str = "w") -> list[int]:
     `index` starts as ``{identity: -1}``.  A `w` that is not a Word is a
     ValueError that calls it by the caller's argument `name`."""
     codes = []
-    for a in check_word(w, name).atoms:
+    for a in check_is(w, Word, name).atoms:
         i = index.get(a.name)
         if i is None:
             i = index[a.name] = len(index)
@@ -79,7 +79,7 @@ def invert(w: Word, identity: str = IDENTITY) -> Word:
     check_name(identity, "identity")
     out = tuple(
         Atom(a.name, a.name != identity and not a.inverted)
-        for a in reversed(check_word(w).atoms)
+        for a in reversed(check_is(w, Word, "w").atoms)
     )
     return Word(out)
 

@@ -78,7 +78,7 @@ from itertools import combinations, islice, permutations, starmap
 from operator import itemgetter
 
 from .engine import GROUND, IDENTITY_ELIM, SYSTEMS, RuleSystem, make_system
-from .terms import check_count
+from .terms import check_count, check_is
 
 SIZE_CEILING = 6
 
@@ -97,7 +97,10 @@ class Model:
         n = self.size
         if type(n) is not int or n < 1:
             raise ValueError(f"model size must be an int of at least 1, got {n!r}")
-        rows = tuple(map(tuple, self.table))
+        try:
+            rows = tuple(map(tuple, self.table))
+        except TypeError:  # the table or a row is not iterable
+            rows = ()
         if len(rows) != n or set(map(len, rows)) != {n}:
             raise ValueError(f"malformed table: expected {n}x{n}")
         # type, not isinstance: bool is an int subclass, but False is not 0
@@ -106,9 +109,8 @@ class Model:
                 if type(v) is not int or not 0 <= v < n:
                     raise ValueError(f"malformed table: entry {v!r} outside 0..{n - 1}")
         object.__setattr__(self, "table", rows)
-        if not isinstance(self.designated, dict):
-            raise ValueError(f"designated must be a dict, got {self.designated!r}")
-        d = dict(self.designated)   # a copy, so the caller cannot change it once checked
+        # a copy, so the caller cannot change it once checked
+        d = dict(check_is(self.designated, dict, "designated"))
         object.__setattr__(self, "designated", d)
         for k, v in d.items():
             if type(k) is not str:
@@ -194,21 +196,6 @@ def _nonassociative_rows(t) -> list[int]:
             if r.translate(rows) != flat.translate(ta)]
 
 
-def check_is_model(m, name: str = "m") -> Model:
-    """`m` if it is a Model, else a ValueError that calls it `name`.
-    (`check_model` judges a Model against a system.)"""
-    if not isinstance(m, Model):
-        raise ValueError(f"{name} must be a Model, got {m!r}")
-    return m
-
-
-def check_query(q, name: str = "q") -> ModelQuery:
-    """`q` if it is a ModelQuery, else a ValueError that calls it `name`."""
-    if not isinstance(q, ModelQuery):
-        raise ValueError(f"{name} must be a ModelQuery, got {q!r}")
-    return q
-
-
 def check_model(m: Model, system, *, _reading=None) -> list[Violation]:
     """Every violated constraint instance, one Violation each; empty
     means the table is a model of the system.  Associativity is decided
@@ -216,7 +203,7 @@ def check_model(m: Model, system, *, _reading=None) -> list[Violation]:
     reports each violation runs only over the rows it names.  The
     enumerator passes `_reading`, so it reads the rules once and each
     leaf still comes here."""
-    check_is_model(m)
+    check_is(m, Model, "m")
     system = make_system(system)
     roles, reading = system.roles, _reading or _read(system)
     n, t, d = m.size, m.table, m.designated
@@ -360,7 +347,7 @@ def _pin(t, n, reading, d: dict[str, int]) -> tuple | None:
 def iter_models(q: ModelQuery) -> Iterator[Model]:
     """The models of `q`, lazily, in designation-major, table-lexicographic
     order, and at most `limit` of them; the one source of models."""
-    check_query(q)
+    check_is(q, ModelQuery, "q")
     return islice(_search(q.system, q.size, _read(q.system)), q.limit)
 
 
@@ -440,7 +427,7 @@ _DESIGNATION_ORDER = tuple(dict.fromkeys(r for s in SYSTEMS.values() for r in s.
 
 
 def format_model(m: Model) -> str:
-    check_is_model(m)
+    check_is(m, Model, "m")
     lines = [f"n={m.size}"]
     for row in m.table:
         lines.append(" ".join(str(v) for v in row))

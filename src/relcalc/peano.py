@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .freegroup import equal_dgss, free_reduce
-from .terms import Atom, Word, check_count, check_word
+from .terms import Atom, Word, check_count, check_is
 
 ONE = Atom("1")
 ZERO = Atom("0")
@@ -27,20 +27,20 @@ def numeral(k: int) -> Word:
 
 def as_numeral(w: Word) -> int | None:
     """The number a word of `1`s stands for, or None if any atom is not `1`."""
-    if all(a == ONE for a in check_word(w)):
+    if all(a == ONE for a in check_is(w, Word, "w")):
         return len(w)
     return None
 
 
 def succ(w: Word) -> Word:
-    return Word((ONE,) + check_word(w).atoms)
+    return Word((ONE,) + check_is(w, Word, "w").atoms)
 
 
 def eval_zero(w: Word) -> Word:
     """Delete `0` atoms; a word of nothing but zeros keeps a single one.
     Zero is the identity that free reduction deletes; numerals carry no
     inverse marks, so a marked atom is a ValueError."""
-    if any(a.inverted for a in check_word(w)):
+    if any(a.inverted for a in check_is(w, Word, "w")):
         raise ValueError(f"numeral words carry no inverse marks: {w}")
     return free_reduce(w, ZERO.name)
 

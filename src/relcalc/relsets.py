@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .engine import SYSTEMS, Proof, SearchConfig, make_system, prove_equal
 from .freegroup import equal_dgss
-from .models import Model, check_is_model
-from .terms import Atom, Word, check_word
+from .models import Model
+from .terms import Atom, Word, check_is
 
 
 class _Undecided:
@@ -32,7 +32,7 @@ def element_of(x: Atom | int, m: Model) -> int:
     """Carrier element `x` denotes: an int index in range, an atom's
     designated name, or a digit name used as an index, written as
     `str(k)` writes it (so 01 names nothing)."""
-    check_is_model(m)
+    check_is(m, Model, "m")
     if type(x) is int:  # bool is an int subclass, but not an index
         if 0 <= x < m.size:
             return x
@@ -57,7 +57,7 @@ def members(q: Atom | int, m: Model) -> tuple[int, ...]:
 
 
 def eval_word(w: Word, m: Model) -> int:
-    val = element_of(check_word(w)[0], m)
+    val = element_of(check_is(w, Word, "w")[0], m)
     for a in w[1:]:
         val = m.apply(val, element_of(a, m))
     return val
@@ -68,7 +68,7 @@ def is_member(q: Atom, x: Word, universe="symbolic", system: str = "dgss",
     """Whether x satisfies q x = x: a definite bool from a model's table
     or, symbolically under dgss, from free reduction; otherwise a bounded
     proof search gives True or UNDECIDED (absence of a proof refutes nothing)."""
-    check_word(x, "x")
+    check_is(x, Word, "x")
     if isinstance(universe, Model):
         qe = element_of(q, universe)
         xe = eval_word(x, universe)
@@ -148,7 +148,7 @@ def russell_report(m: Model) -> RussellReport:
     In any table with group structure only the identity qualifies, the
     concrete face of 'there exist objects which are not their own
     elements'."""
-    check_is_model(m)
+    check_is(m, Model, "m")
     yes = tuple(c for c in range(m.size) if m.apply(c, c) == c)
     no = tuple(c for c in range(m.size) if c not in yes)
     return RussellReport(yes, no)

@@ -34,6 +34,12 @@ decider (and the proof engine when the active system carries the
 inverse-cancel rule) gives it meaning; every other consumer treats a
 marked atom as bad input at its own boundary.
 
+The argument checks every module shares live here.  ``check_is``
+refuses an argument of the wrong type with the one ValueError form
+``<name> must be a <Class>, got <value>``; ``check_count`` refuses an
+int out of range and ``check_name`` a text that is not an atom name,
+each in its own words.
+
 >>> print_word(flatten(parse("[[z y] y]")))
 'z y y'
 """
@@ -42,19 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Union
-
-__all__ = [
-    "Atom",
-    "Node",
-    "TermTree",
-    "Word",
-    "ParseError",
-    "parse",
-    "parse_word",
-    "parse_equation",
-    "flatten",
-    "print_word",
-]
 
 _NAME_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
@@ -81,8 +74,7 @@ class Atom:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name or not _NAME_CHARS.issuperset(self.name):
             raise ValueError(f"bad atom name {self.name!r}")
-        if type(self.inverted) is not bool:
-            raise ValueError(f"atom mark must be a bool, got {self.inverted!r}")
+        check_is(self.inverted, bool, "atom mark")
 
     def __str__(self) -> str:
         return self.name + ("'" if self.inverted else "")
@@ -108,7 +100,10 @@ class Word:
     atoms: tuple[Atom, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+        try:
+            object.__setattr__(self, "atoms", tuple(self.atoms))
+        except TypeError:
+            raise ValueError(f"atoms must be an iterable of atoms, got {self.atoms!r}") from None
         if not self.atoms:
             raise ValueError("a word holds at least one atom")
         for a in self.atoms:
@@ -132,7 +127,7 @@ class Word:
 
 
 def print_word(w: Word) -> str:
-    return " ".join([a.name + "'" if a.inverted else a.name for a in check_word(w).atoms])
+    return " ".join([a.name + "'" if a.inverted else a.name for a in check_is(w, Word, "w").atoms])
 
 
 def check_count(name: str, value, lo: int | None = 1, hi: int | None = None) -> int:
@@ -150,18 +145,16 @@ def check_count(name: str, value, lo: int | None = 1, hi: int | None = None) -> 
     return value
 
 
-def check_word(w, name: str = "w") -> Word:
-    """`w` if it is a Word, else a ValueError that calls it `name`."""
-    if not isinstance(w, Word):
-        raise ValueError(f"{name} must be a Word, got {w!r}")
-    return w
-
-
-def check_term(t, name: str = "t") -> TermTree:
-    """`t` if it is an Atom or a Node, else a ValueError that calls it `name`."""
-    if not isinstance(t, (Atom, Node)):
-        raise ValueError(f"{name} must be an Atom or a Node, got {t!r}")
-    return t
+def check_is(value, kind, name: str):
+    """`value` if it is an instance of `kind`, a class or a tuple of
+    classes; else a ValueError that calls it `name` and says what `kind`
+    is ("a Word", "an Atom or a Node"), with "an" before a class name
+    that starts with a vowel."""
+    if isinstance(value, kind):
+        return value
+    what = " or ".join(f"{'an' if k.__name__[0] in 'AEIOUaeiou' else 'a'} {k.__name__}"
+                       for k in (kind if isinstance(kind, tuple) else (kind,)))
+    raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def check_name(value, name: str) -> str:
@@ -185,12 +178,6 @@ def _combine(items: list[TermTree]) -> TermTree:
     for t in items[1:]:
         out = Node(out, t)
     return out
-
-
-def _text(text) -> str:  # the parser's entry points read only str text
-    if not isinstance(text, str):
-        raise ValueError(f"text must be a str, got {text!r}")
-    return text
 
 
 def _parse(text: str, group=None) -> list[TermTree]:
@@ -258,7 +245,7 @@ def parse(text: str) -> TermTree:
     unbalanced or mismatched delimiters, and empty groups or input, and
     a plain ValueError for a `text` that is not a str.
     """
-    return _combine(_parse(_text(text), _combine))
+    return _combine(_parse(check_is(text, str, "text"), _combine))
 
 
 def flatten(t: TermTree) -> Word:
@@ -272,7 +259,7 @@ def flatten(t: TermTree) -> Word:
         if isinstance(cur, Atom):
             out.append(cur)
         else:
-            check_term(cur, "t" if cur is t else "a part of t")
+            check_is(cur, (Atom, Node), "t" if cur is t else "a part of t")
             todo.append(cur.right)
             todo.append(cur.left)
     return Word(tuple(out))
@@ -300,7 +287,7 @@ def split_word(text: str, atoms: dict[str, Atom], sep: str | None = " ") -> Word
 
 def parse_word(text: str) -> Word:
     """``flatten(parse(text))``, with the same errors, built without the tree."""
-    if _WORD_TEXT.issuperset(_text(text)):
+    if _WORD_TEXT.issuperset(check_is(text, str, "text")):
         word = split_word(text, {}, None)
         if word is not None:
             return word
@@ -309,7 +296,7 @@ def parse_word(text: str) -> Word:
 
 def parse_equation(text: str) -> tuple[Word, Word]:
     """Split `text` at its single '=' and parse both sides."""
-    cut = _text(text).find("=")
+    cut = check_is(text, str, "text").find("=")
     if cut < 0:
         raise ParseError("expected '=' between two terms", len(text))
     second = text.find("=", cut + 1)

@@ -157,6 +157,16 @@ def test_check_unreadable_inputs(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_check_reads_a_script_that_is_not_utf8_as_not_json(tmp_path, capsys):
+    # it reached main's catch-all as "error: 'utf-8' codec can't decode ..."
+    junk = tmp_path / "junk.json"
+    junk.write_bytes(b"\xff\xfe")
+    rc, out, err = run(capsys, "check", str(junk))
+    assert (rc, out) == (1, "")
+    assert err == ("not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte\n")
+
+
 def test_suite_command(capsys):
     rc, out, _ = run(capsys, "suite", "dits")
     assert rc == 0

@@ -7,6 +7,7 @@ import itertools
 import json
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -74,6 +75,18 @@ def test_problem_words_must_be_words(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda: prove_equal((_X, _Y), "dit", 5),
+    lambda: neighbors(_X, "dit", 5),
+    lambda: normalize(_X, "dit", 5),
+], ids=["prove_equal", "neighbors", "normalize"])
+def test_hypotheses_that_are_not_iterable_are_refused(call):
+    # each was a bare TypeError from tuple() in the search core
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == "hypotheses must be an iterable of equations, got 5"
 
 
 def test_check_proof_rejects_a_malformed_hypothesis():
@@ -1276,15 +1289,16 @@ def _sites(found) -> list[tuple[str, str]]:
 
 
 def test_each_boundary_check_is_made_in_one_place():
-    says = ("must be an int", "must be a Word", "must be an Atom or", "must be an atom name",
-            "must be a Model,", "must be a ModelQuery", "must be a Proof")
+    # "<name> must be a Word, got ...", "... an Atom or a Node, got ...",
+    # and the int, atom name and model size forms; check_is's own text is
+    # the bare " must be " of f"{name} must be {what}, got {value!r}"
+    says = re.compile(r" must be (an? \w+( or an? \w+)*, got |an int of |an atom name)|^ must be $")
     texts = _sites(lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
-                   and any(s in n.value for s in says))
-    # Model keeps its own: its checks run once for every model the enumerator emits
-    assert texts == [("engine.py", "check_is_proof"),
-                     ("models.py", "Model.__post_init__"), ("models.py", "check_is_model"),
-                     ("models.py", "check_query"), ("terms.py", "check_count"),
-                     ("terms.py", "check_word"), ("terms.py", "check_term"),
+                   and says.search(n.value) is not None)
+    # a rule id is exactly a str, not a subclass; Model keeps its own: its
+    # checks run once for every model the enumerator emits
+    assert texts == [("engine.py", "Rule.__post_init__"), ("models.py", "Model.__post_init__"),
+                     ("terms.py", "check_count"), ("terms.py", "check_is"),
                      ("terms.py", "check_name")]
     calls = _sites(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                    and n.func.id == "_validate_problem")

@@ -310,6 +310,14 @@ def test_listing_keeps_no_model_list():
     assert printed < listed / 4
 
 
+@pytest.mark.parametrize("table", [5, [[0, 1], 7]], ids=["table", "row"])
+def test_a_table_that_is_not_iterable_is_malformed(table):
+    # each was a bare TypeError from tuple()
+    with pytest.raises(ValueError) as exc:
+        Model(2, table, {})
+    assert str(exc.value) == "malformed table: expected 2x2"
+
+
 def test_query_has_no_count_only_field():
     # counting is count_models; the query carries no such mode
     with pytest.raises(TypeError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,11 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import relcalc
+from relcalc import Atom, Model, Word
+from relcalc.engine import AX6
 
 SRC = Path(relcalc.__file__).resolve().parents[1]
 SUBMODULES = {"terms", "engine", "freegroup", "models", "peano", "relsets", "suites"}
@@ -47,6 +52,38 @@ def test_each_name_is_read_off_its_home_module_on_every_access():
         assert home is getattr(relcalc, home.__name__.rpartition(".")[2])
         assert getattr(relcalc, name) is getattr(home, name)
         assert name not in vars(relcalc)   # nothing is cached in the package
+
+
+_W = Word((Atom("x"),))
+# a value each required parameter of the public API accepts, by its name
+_GOOD = {"name": "S", "rules": (), "roles": ("x",), "w": _W, "rule": AX6, "pos": 0,
+         "system": "dit", "goal": (_W, _W), "u": _W, "v": _W, "samples": 1, "seed": 0,
+         "size": 1, "table": ((0,),), "designated": {}, "m": Model(1, ((0,),), {}),
+         "n": 1, "n_max": 1, "q": Atom("0"), "x": _W, "b": 0, "a": 0, "f": 0}
+# plain records: they hold what they are given and check nothing
+_RECORDS = {"Node", "ProofStep", "Proof", "NotFound", "CheckResult", "Violation",
+            "SuiteReport"}
+
+
+def _boundaries():
+    for name in relcalc.__all__:
+        call = getattr(relcalc, name)
+        if name in _RECORDS or not callable(call) \
+                or isinstance(call, type) and issubclass(call, Exception):
+            continue
+        params = [p for p in inspect.signature(call).parameters.values()
+                  if p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty]
+        for i, p in enumerate(params):
+            yield pytest.param(call, params, i, id=f"{name}-{p.name}")
+
+
+@pytest.mark.parametrize("call, params, i", _boundaries())
+def test_each_boundary_refuses_a_wrongly_typed_argument(call, params, i):
+    args = [object() if j == i else _GOOD[p.name] for j, p in enumerate(params)]
+    # an `Atom | int` argument is a model element, which element_of looks up
+    expected = LookupError if params[i].annotation == "Atom | int" else ValueError
+    with pytest.raises(expected):
+        call(*args)
 
 
 def test_import_registers_every_submodule_and_runs_none():

@@ -66,6 +66,31 @@ def test_a_word_holds_only_atoms(items, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("atoms", [5, None, Atom("x")])
+def test_a_word_refuses_atoms_that_are_not_iterable(atoms):
+    # each was a bare TypeError from tuple()
+    with pytest.raises(ValueError) as exc:
+        Word(atoms)
+    assert str(exc.value) == f"atoms must be an iterable of atoms, got {atoms!r}"
+    assert Word(a for a in [Atom("x")]) == Word((Atom("x"),))  # any iterable still reads
+
+
+@pytest.mark.parametrize("kind, message", [
+    (Word, "v must be a Word, got 5"),
+    (Atom, "v must be an Atom, got 5"),
+    ((Atom, Node), "v must be an Atom or a Node, got 5"),
+    (str, "v must be a str, got 5"),
+    (bool, "v must be a bool, got 5"),
+    (dict, "v must be a dict, got 5"),
+])
+def test_check_is_names_the_argument_and_its_kind(kind, message):
+    with pytest.raises(ValueError) as exc:
+        terms.check_is(5, kind, "v")
+    assert str(exc.value) == message
+    w = Word((Atom("x"),))
+    assert terms.check_is(w, (Word, dict), "v") is w
+
+
 @pytest.mark.parametrize("consume", [
     print_word,
     relcalc.free_reduce,
