@@ -39,6 +39,7 @@ def _register(name: str):
 
 # in import order, each bound here as an import would bind it
 terms = _register("terms")
+systems = _register("systems")
 engine = _register("engine")
 freegroup = _register("freegroup")
 models = _register("models")
@@ -51,11 +52,10 @@ suites = _register("suites")
 _HOMES = {
     **dict.fromkeys(("Atom", "Node", "ParseError", "Word", "flatten", "parse",
                      "parse_equation", "parse_word", "print_word"), terms),
-    **dict.fromkeys(("Rule", "RuleSystem", "make_system", "apply_rule", "neighbors",
-                     "normalize", "ProofStep", "Proof", "SearchConfig", "NotFound",
-                     "prove_equal", "reverse_proof", "CheckResult", "check_proof",
-                     "proof_to_dict", "proof_to_json", "proof_from_dict",
-                     "check_proof_data"), engine),
+    **dict.fromkeys(("Rule", "RuleSystem", "make_system", "ProofStep", "Proof"), systems),
+    **dict.fromkeys(("apply_rule", "neighbors", "normalize", "SearchConfig", "NotFound",
+                     "prove_equal", "CheckResult", "check_proof", "proof_to_dict",
+                     "proof_to_json", "proof_from_dict", "check_proof_data"), engine),
     **dict.fromkeys(("free_reduce", "invert", "is_reduced", "equal_dgss",
                      "verify_dgss_lemmas"), freegroup),
     **dict.fromkeys(("Model", "ModelQuery", "Violation", "check_model", "iter_models",

@@ -12,12 +12,12 @@ import argparse
 import json
 import sys
 
-# Building the parser runs engine (system ids, SearchConfig defaults) and
-# suites (suite ids).  models and peano are imported by their handlers,
-# so only those commands run them (submodules load on first use).
-from .engine import (SYSTEMS, NotFound, SearchConfig, check_proof_data,
-                     proof_to_json, prove_equal, system_id)
+# Building the parser runs systems and suites (the ids it lists) and
+# engine (SearchConfig defaults).  models and peano are imported by their
+# handlers, so only those commands run them (submodules load on first use).
+from .engine import NotFound, SearchConfig, check_proof_data, proof_to_json, prove_equal
 from .suites import SUITE_IDS, run_suite
+from .systems import SYSTEMS, system_id
 from .terms import ParseError, parse_equation, parse_word, print_word
 
 

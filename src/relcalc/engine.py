@@ -1,28 +1,13 @@
-"""Rewrite systems over words, equational proof search, and proof checking.
+"""Equational proof search and proof checking over the rule systems of
+`systems`.
 
-A rule system is a small set of rewrite rules over flat words.  The
-built-in systems, described once in the table `SYSTEMS`:
-
-    DIT    ax6: x y -> y    ax7: z y -> x      (x, y, z pairwise distinct)
-    DIT+   DIT plus the admitted return rule   Lzxz: z x -> z
-    DITS   DIT+ plus the symmetry rule         ax7a: y z <-> z y
-    DGS    ax8: the identity atom e may be dropped when something follows it
-    DGS+   DGS plus Lrxr: e may also be dropped when something precedes it
-    DGSS   DGS+ plus ax9a: an adjacent pair a a' or a' a cancels
-
-Every rule applies in both directions at any position, so provable
-equality is exactly the congruence the rules generate on words.  A
-proof is a chain of steps; each step cites a rule id, a direction
-("lr" or "rl"), a 0-based position, and the full resulting word.  A
-proof carries the RuleSystem it was found under and is checked against
-that system; a proof script names a built-in system by its id, which
-`make_system`, the one resolver of system ids, looks up.
-`apply_rule` is one body for both directions.  The checker replays
-every step through one forward application at the cited position: an
-lr step must rewrite the previous word to its recorded result, and an
-rl step its recorded result back to the previous word.  That
-convention is what keeps the one rl case whose output is not a
-function of the position (inverse-pair insertion) checkable.
+A proof is checked against the system it carries.  `apply_rule` is one
+body for both directions.  The checker replays every step through one
+forward application at the cited position: an lr step must rewrite the
+previous word to its recorded result, and an rl step its recorded
+result back to the previous word.  That convention is what keeps the
+one rl case whose output is not a function of the position
+(inverse-pair insertion) checkable.
 
 Search is bidirectional breadth-first: one frontier grows from each
 side of the goal and a proof is stitched together the moment the
@@ -40,8 +25,9 @@ word has left, so finding a redex raises nothing and builds no Word.
 Words and ProofSteps are built only for the steps a proof keeps.
 `neighbors` and `normalize` are thin wrappers over the same core, whose
 constructor checks the problem.  The checker checks its own and shares
-no matching code with the core: it replays Words through `apply_rule`.
-The core is rebuilt for every call and cached nowhere.
+no matching code with the core: it replays Words through `apply_rule`,
+and `tests/test_package.py` holds it to that.  The core is rebuilt for
+every call and cached nowhere.
 
 A proof script is read in one pass (`proof_from_dict`): each word text
 is split once at single spaces by `split_word`, against one token ->
@@ -49,26 +35,22 @@ Atom table that lives for that script alone, so each distinct token is
 checked and built once.  A result text that splits is the canonical
 print of its word, so nothing is printed back to compare.  Only a text
 that does not split goes to `parse_word` or `parse_equation`, and they
-report every ParseError with its offset, as before.
+report every ParseError with its offset.
 
-Everything here is immutable; callers may share systems, proofs and
-configs across threads freely.
+Everything here is immutable; callers may share configs and results
+across threads freely.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .systems import (GROUND, IDENTITY_ELIM, LR, RL, SYSTEMS, Proof, ProofStep, Rule,
+                      RuleSystem, hypothesis_rules, make_system, system_id)
 from .terms import (Atom, Word, check_count, check_is, parse_equation, parse_word,
                     print_word, split_word)
 
-GROUND = "ground"
-IDENTITY_ELIM = "identity-elim"
-INVERSE_CANCEL = "inverse-cancel"
-
-LR = "lr"
-RL = "rl"
 
 class RewriteError(Exception):
     pass
@@ -80,135 +62,6 @@ class NoMatch(RewriteError):
 
 class EmptyResult(RewriteError):
     """The deletion would leave no atoms at all."""
-
-
-@dataclass(frozen=True)
-class Rule:
-    """One rewrite rule.
-
-    Ground rules carry both sides.  identity-elim carries the identity
-    atom plus which neighbour legitimises a deletion: `needs="right"`
-    deletes an occurrence that has something after it (the identity
-    acting from the left), `needs="left"` one that has something before
-    it.  inverse-cancel carries nothing; it deletes any adjacent
-    mutually-inverse pair.
-    """
-
-    id: str
-    kind: str = GROUND
-    lhs: Word | None = None
-    rhs: Word | None = None
-    atom: Atom | None = None
-    needs: str | None = None
-
-    def __post_init__(self):
-        if type(self.id) is not str:
-            raise ValueError(f"rule id must be a str, got {self.id!r}")
-        if not self.id:
-            raise ValueError("rule id must be non-empty")
-        if self.kind == GROUND:
-            if self.lhs is None or self.rhs is None:
-                raise ValueError("ground rule needs both sides")
-            check_is(self.lhs, Word, "lhs")
-            check_is(self.rhs, Word, "rhs")
-            unread = ("atom", "needs")
-        elif self.kind == IDENTITY_ELIM:
-            if not isinstance(self.atom, Atom) or self.needs not in ("left", "right"):
-                raise ValueError("identity-elim rule needs its atom and a side")
-            # the search would delete only the marked atom, while the model
-            # reading (identity_name) takes the atom's name for the identity
-            if self.atom.inverted:
-                raise ValueError(f"identity-elim rule needs an unmarked atom, got {self.atom}")
-            unread = ("lhs", "rhs")
-        elif self.kind == INVERSE_CANCEL:
-            unread = ("lhs", "rhs", "atom", "needs")
-        else:
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-        # a field the kind never reads would only make equal rules compare unequal
-        for name in unread:
-            if getattr(self, name) is not None:
-                raise ValueError(f"{self.kind} rule takes no {name}, got {getattr(self, name)!r}")
-
-
-@dataclass(frozen=True)
-class RuleSystem:
-    """Rules, the atoms a model designates (pairwise distinct), and the one
-    model obligation no rule states: every y has some z with z*y = e."""
-
-    name: str
-    rules: tuple[Rule, ...]
-    roles: tuple[str, ...]
-    left_inverses: bool = False
-
-    def __post_init__(self):
-        check_is(self.name, str, "system name")
-        if type(self.rules) is not tuple or not all(isinstance(r, Rule) for r in self.rules):
-            raise ValueError(f"rules must be a tuple of Rules, got {self.rules!r}")
-        # Atom refuses a role that is not an atom name
-        if type(self.roles) is not tuple or len(set(map(Atom, self.roles))) != len(self.roles):
-            raise ValueError(f"roles must be a tuple of distinct atom names, got {self.roles!r}")
-        check_is(self.left_inverses, bool, "left_inverses")
-        # the search sorts rules by id and the checker keys them by id, so
-        # an id may name one rule only, and none of the hypotheses' hyp<N>
-        ids = set()
-        for r in self.rules:
-            if r.id in ids:
-                raise ValueError(f"rule id {r.id!r} is repeated in {self.name}")
-            if r.id.startswith("hyp") and r.id[3:].isdigit():
-                raise ValueError(f"rule id {r.id!r} in {self.name} is a hypothesis id")
-            ids.add(r.id)
-
-    def rule_map(self) -> dict[str, Rule]:
-        return {r.id: r for r in self.rules}
-
-    @property
-    def allows_inverses(self) -> bool:
-        return any(r.kind == INVERSE_CANCEL for r in self.rules)
-
-    @property
-    def identity_name(self) -> str | None:
-        for r in self.rules:
-            if r.kind == IDENTITY_ELIM:
-                return r.atom.name
-        return None
-
-
-_X, _Y, _Z, _E = Atom("x"), Atom("y"), Atom("z"), Atom("e")
-
-AX6 = Rule("ax6", GROUND, lhs=Word((_X, _Y)), rhs=Word((_Y,)))
-AX7 = Rule("ax7", GROUND, lhs=Word((_Z, _Y)), rhs=Word((_X,)))
-LZXZ = Rule("Lzxz", GROUND, lhs=Word((_Z, _X)), rhs=Word((_Z,)))
-AX7A = Rule("ax7a", GROUND, lhs=Word((_Y, _Z)), rhs=Word((_Z, _Y)))
-AX8 = Rule("ax8", IDENTITY_ELIM, atom=_E, needs="right")
-LRXR = Rule("Lrxr", IDENTITY_ELIM, atom=_E, needs="left")
-AX9A = Rule("ax9a", INVERSE_CANCEL)
-
-SYSTEMS = {  # by the id the CLI and proof scripts use
-    "dit": RuleSystem("DIT", (AX6, AX7), ("x", "y", "z")),
-    "dit+": RuleSystem("DIT+", (AX6, AX7, LZXZ), ("x", "y", "z")),
-    "dits": RuleSystem("DITS", (AX6, AX7, LZXZ, AX7A), ("x", "y", "z")),
-    "dgs": RuleSystem("DGS", (AX8,), ("e",), left_inverses=True),
-    "dgs+": RuleSystem("DGS+", (AX8, LRXR), ("e",), left_inverses=True),
-    "dgss": RuleSystem("DGSS", (AX8, LRXR, AX9A), ("e",), left_inverses=True),
-}
-SYSTEM_NAMES = tuple(s.name for s in SYSTEMS.values())
-
-
-def system_id(name: str) -> str | None:
-    """The SYSTEMS (or suite) key `name` spells: ids ignore case and
-    surrounding blanks, and a name that is not a str spells none."""
-    return name.strip().lower() if isinstance(name, str) else None
-
-
-def make_system(system: RuleSystem | str) -> RuleSystem:
-    """`system` itself if it is a RuleSystem, else the system in SYSTEMS
-    with this (case-insensitive) id."""
-    if isinstance(system, RuleSystem):
-        return system
-    found = SYSTEMS.get(system_id(system))
-    if found is None:
-        raise ValueError(f"unknown system {system!r} (expected one of {', '.join(SYSTEM_NAMES)})")
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -283,36 +136,14 @@ class SearchConfig:
             check_count(name, getattr(self, name))
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    rule: str
-    dir: str
-    pos: int
-    result: Word
-
-
-@dataclass(frozen=True)
-class Proof:
-    system: RuleSystem
-    hypotheses: tuple[tuple[Word, Word], ...]
-    goal: tuple[Word, Word]
-    steps: tuple[ProofStep, ...]
-    nodes_expanded: int = field(default=0, compare=False)
-
-
-def hypothesis_rules(hypotheses) -> list[Rule]:
-    """Hypothesis equations as ground rules hyp1..hypN, ids stable under
-    appending more hypotheses later."""
-    return [Rule(f"hyp{i}", GROUND, lhs=l, rhs=r)
-            for i, (l, r) in enumerate(hypotheses, 1)]
-
-
 def neighbors(w: Word, system: RuleSystem | str, hypotheses=(),
               max_len: int = SearchConfig.max_word_len) -> list[tuple[Word, ProofStep]]:
     """All one-step rewrites of `w`: system rules and hypothesis
     equations, both directions, every position.  Order is position-major
     and rule-id-minor, with lr before rl; inverse-pair insertions are
-    ordered by atom name, unmarked-first pair first."""
+    ordered by atom name, unmarked-first pair first.  The search expands
+    through `_Core` itself; this stays public because `bench/tracing.py`
+    traces it and `tests/test_soundness.py` enumerates rewrites with it."""
     max_len = check_count("max_word_len", max_len)  # as SearchConfig checks it
     core = _Core(system, hypotheses, (w, w))
     return [(s.result, s) for s in core.steps(core.expand(core.encode(w.atoms), max_len, True))]
@@ -363,14 +194,6 @@ def _invert_chain(start: Word, steps) -> list[ProofStep]:
         s = steps[i]
         out.append(ProofStep(s.rule, RL if s.dir == LR else LR, s.pos, words[i]))
     return out
-
-
-def reverse_proof(p: Proof) -> Proof:
-    """The same derivation read right to left; proves the swapped goal."""
-    check_is(p, Proof, "p")
-    steps = _invert_chain(p.goal[0], p.steps)
-    return Proof(p.system, p.hypotheses, (p.goal[1], p.goal[0]), tuple(steps),
-                 nodes_expanded=p.nodes_expanded)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice, permutations, starmap
 from operator import itemgetter
 
-from .engine import GROUND, IDENTITY_ELIM, SYSTEMS, RuleSystem, make_system
+from .systems import GROUND, IDENTITY_ELIM, SYSTEMS, RuleSystem, make_system
 from .terms import check_count, check_is
 
 SIZE_CEILING = 6

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import SYSTEMS, Proof, SearchConfig, make_system, prove_equal
+from .engine import SearchConfig, prove_equal
 from .freegroup import equal_dgss
 from .models import Model
+from .systems import SYSTEMS, Proof, make_system
 from .terms import Atom, Word, check_is
 
 
@@ -69,6 +70,7 @@ def is_member(q: Atom, x: Word, universe="symbolic", system: str = "dgss",
     or, symbolically under dgss, from free reduction; otherwise a bounded
     proof search gives True or UNDECIDED (absence of a proof refutes nothing)."""
     check_is(x, Word, "x")
+    check_is(q, (Atom, int), "q")  # the same refusal in either universe
     if isinstance(universe, Model):
         qe = element_of(q, universe)
         xe = eval_word(x, universe)

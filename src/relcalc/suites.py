@@ -20,9 +20,9 @@ from itertools import combinations, product
 # bound as modules, so building the suite ids runs neither; their
 # checks are looked up when the dgss or peano suite runs
 from . import freegroup, peano
-from .engine import (NotFound, Proof, apply_rule, check_proof, hypothesis_rules,
-                     prove_equal, system_id)
-from .terms import Word, parse_equation, print_word
+from .engine import NotFound, apply_rule, check_proof, prove_equal
+from .systems import Proof, hypothesis_rules, system_id
+from .terms import parse_equation, print_word
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,14 @@ import random
 import time
 
 from relcalc.cli import main as cli_main
-from relcalc.engine import check_proof, hypothesis_rules
+from relcalc.engine import check_proof
 from relcalc.freegroup import free_reduce, verify_dgss_lemmas
 from relcalc.models import (ModelQuery, check_model, count_models,
                             enumerate_models, find_min_model)
 from relcalc.peano import (ZERO, eval_zero, numeral, succ, verify_peano,
                            zero_contradiction_demo)
 from relcalc.suites import run_suite
+from relcalc.systems import hypothesis_rules
 from relcalc.terms import Atom, Word
 
 Z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))

@@ -12,9 +12,9 @@ import pytest
 
 import relcalc
 from relcalc.cli import _build_parser, main
-from relcalc.engine import (SYSTEMS, SearchConfig, check_proof_data, proof_to_json,
-                            prove_equal)
+from relcalc.engine import SearchConfig, check_proof_data, proof_to_json, prove_equal
 from relcalc.suites import SUITE_IDS
+from relcalc.systems import SYSTEMS
 from relcalc.terms import parse_equation
 
 

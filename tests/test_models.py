@@ -13,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from relcalc import models
 from relcalc.cli import main
-from relcalc.engine import (AX6, AX8, AX9A, GROUND, LRXR, LZXZ, SYSTEMS, Rule, RuleSystem,
-                            make_system)
 from relcalc.models import (Model, ModelQuery, Violation, _fill, _first_tables,
                             _nonassociative_rows, _pin, _propagate, _read, _search,
                             check_model, count_models,
                             enumerate_models, find_min_model, format_model, iter_models)
+from relcalc.systems import (AX6, AX8, AX9A, GROUND, LRXR, LZXZ, SYSTEMS, Rule, RuleSystem,
+                             make_system)
 from relcalc.terms import parse_word
 
 Z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import inspect
 import json
 import os
@@ -12,10 +13,11 @@ import pytest
 
 import relcalc
 from relcalc import Atom, Model, Word
-from relcalc.engine import AX6
+from relcalc.systems import AX6
 
 SRC = Path(relcalc.__file__).resolve().parents[1]
-SUBMODULES = {"terms", "engine", "freegroup", "models", "peano", "relsets", "suites"}
+SUBMODULES = {"terms", "systems", "engine", "freegroup", "models", "peano", "relsets",
+              "suites"}
 
 # Prints the relcalc submodules that have run, read through type(), which
 # a lazy module does not answer by loading itself.
@@ -52,6 +54,14 @@ def test_each_name_is_read_off_its_home_module_on_every_access():
         assert home is getattr(relcalc, home.__name__.rpartition(".")[2])
         assert getattr(relcalc, name) is getattr(home, name)
         assert name not in vars(relcalc)   # nothing is cached in the package
+
+
+def test_each_class_and_function_is_mapped_to_the_module_that_defines_it():
+    # a name mapped to a module that only imports it would run that module too
+    stray = [(name, home.__name__) for name, home in relcalc._HOMES.items()
+             if isinstance(obj := getattr(home, name), (type, types.FunctionType))
+             and obj.__module__ != home.__name__]
+    assert stray == []
 
 
 _W = Word((Atom("x"),))
@@ -102,9 +112,59 @@ def test_parse_runs_no_model_numeral_decider_or_set_code():
     out = _fresh("from relcalc.cli import main\nmain(['parse', 'x (y z)'])" + _RAN)
     printed, ran = out.splitlines()
     assert printed == "x y z"
-    assert set(json.loads(ran)) == {"cli", "engine", "suites", "terms"}
+    assert set(json.loads(ran)) == {"cli", "engine", "suites", "systems", "terms"}
+
+
+def test_counting_models_runs_no_search_code():
+    out = _fresh("import relcalc\nrelcalc.count_models('dgs', 3)" + _RAN)
+    assert json.loads(out) == ["models", "systems", "terms"]
 
 
 def test_a_first_use_runs_only_that_module_and_its_imports():
     out = _fresh("import relcalc\nrelcalc.equal_dgss" + _RAN)
     assert json.loads(out) == ["freegroup", "terms"]
+
+
+# the proof checker and the script functions around it, in engine.py
+_CHECKER = {"apply_rule", "check_proof", "proof_to_dict", "proof_to_json", "_equation",
+            "proof_from_dict", "check_proof_data"}
+# the search side of engine.py: its core, its helpers and its entry points
+_SEARCH = {"_Core", "_growth", "_reducers", "_walk", "_join", "_invert_chain", "neighbors",
+           "normalize", "prove_equal", "SearchConfig", "NotFound",
+           "_SPAN", "_DROP", "_INSERT", "_PAIRS"}
+
+
+def _sibling_imports(module: str) -> set[str]:
+    """The relcalc modules that `module`'s source imports."""
+    tree = ast.parse((SRC / "relcalc" / f"{module}.py").read_text(encoding="utf-8"))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            out |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("relcalc"):
+            out.add(node.module)
+        elif isinstance(node, ast.Import):
+            out |= {a.name for a in node.names if a.name.startswith("relcalc")}
+    return {name.removeprefix("relcalc.").partition(".")[0] for name in out}
+
+
+def test_the_system_table_and_the_models_load_no_search_or_decider():
+    assert _sibling_imports("systems") == {"terms"}
+    assert _sibling_imports("models") & {"engine", "freegroup"} == set()
+
+
+def test_the_checker_names_nothing_from_the_search():
+    tree = ast.parse((SRC / "relcalc" / "engine.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert _CHECKER <= defs.keys()
+    # the checker's functions and every module-level def they reach
+    reached, todo = set(), list(_CHECKER)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        if name in defs:
+            todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)]
+    assert reached & _SEARCH == set()

@@ -4,11 +4,12 @@ import time
 
 import pytest
 
-from relcalc.engine import SYSTEMS, SearchConfig
+from relcalc.engine import SearchConfig
 from relcalc.models import Model, ModelQuery, iter_models
 from relcalc.relsets import (UNDECIDED, element_of, eval_word, is_function_rel,
                              is_member, is_subset, members, russell_report,
                              subset_report)
+from relcalc.systems import SYSTEMS
 from relcalc.terms import Atom, parse_word
 
 W = parse_word
@@ -85,20 +86,33 @@ def test_is_member_needs_a_word(universe, x):
     assert str(exc.value) == f"x must be a Word, got {x!r}"
 
 
+@pytest.mark.parametrize("universe", ["symbolic", Z3], ids=["symbolic", "model"])
+@pytest.mark.parametrize("q", ["q", None, 1.0, object()])
+def test_is_member_refuses_a_quality_that_is_neither_an_atom_nor_an_int(universe, q):
+    with pytest.raises(ValueError) as exc:
+        is_member(q, W("1"), universe)
+    assert str(exc.value) == f"q must be an Atom or an int, got {q!r}"
+
+
 @pytest.mark.parametrize("q", [0, "q", None, Atom("q", inverted=True)])
 def test_symbolic_quality_must_be_a_plain_atom(q):
     with pytest.raises(ValueError) as exc:
         is_member(q, W("x"))
-    assert str(exc.value) == f"a set quality must be a plain atom, got {q!r}"
+    # what is neither an Atom nor an int is refused before the universe is read
+    why = ("a set quality must be a plain atom" if isinstance(q, (Atom, int))
+           else "q must be an Atom or an int")
+    assert str(exc.value) == f"{why}, got {q!r}"
     with pytest.raises(ValueError):
         is_member(q, W("x"), system="dit")
 
 
 def test_model_quality_is_read_by_element_of():
-    # in a model an int quality is an index, and a marked one has no reading
+    # in a model an int quality is an index; a marked or unmapped atom, an
+    # index outside the carrier and a bool have no reading
     assert is_member(0, W("1"), Z3) is True
-    with pytest.raises(LookupError):
-        is_member(Atom("e", inverted=True), W("1"), Z3)
+    for q in (Atom("e", inverted=True), Atom("q"), 3, True):
+        with pytest.raises(LookupError):
+            is_member(q, W("1"), Z3)
 
 
 @pytest.mark.parametrize("universe", ["symbolc", 3, None])

@@ -15,9 +15,10 @@ from functools import reduce
 
 import pytest
 
-from relcalc.engine import SYSTEMS, Proof, SearchConfig, neighbors, prove_equal
+from relcalc.engine import SearchConfig, neighbors, prove_equal
 from relcalc.models import ModelQuery, iter_models
 from relcalc.suites import _PROOF_SUITES
+from relcalc.systems import SYSTEMS, Proof
 from relcalc.terms import parse_equation, parse_word
 
 MAX_LEN = 6     # walks and searches stay within words of this length
