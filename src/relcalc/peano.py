@@ -91,6 +91,9 @@ def verify_peano(k_max: int) -> PeanoReport:
        successor covers everything; staircase tables that break closure
        must be rejected, as must 1000 seeded random tables (none of
        which can satisfy the hypothesis without being all-true)
+
+    Property 5 checks `_induction_hypothesis` on boolean tables indexed
+    by k, not on numerals: no word is built or reduced for it.
     """
     ns = [numeral(k) for k in range(1, check_count("k_max", k_max, 2, K_MAX_CEILING) + 1)]
     items = []

@@ -64,13 +64,16 @@ def eval_word(w: Word, m: Model) -> int:
     return val
 
 
-def is_member(q: Atom, x: Word, universe="symbolic", system: str = "dgss",
+def is_member(q: Atom | int, x: Word, universe="symbolic", system: str = "dgss",
               config: SearchConfig | None = None):
     """Whether x satisfies q x = x: a definite bool from a model's table
     or, symbolically under dgss, from free reduction; otherwise a bounded
     proof search gives True or UNDECIDED (absence of a proof refutes nothing)."""
     check_is(x, Word, "x")
     check_is(q, (Atom, int), "q")  # the same refusal in either universe
+    system = make_system(system)
+    if config is not None:
+        check_is(config, SearchConfig, "config")
     if isinstance(universe, Model):
         qe = element_of(q, universe)
         xe = eval_word(x, universe)
@@ -80,7 +83,7 @@ def is_member(q: Atom, x: Word, universe="symbolic", system: str = "dgss",
     if not isinstance(q, Atom) or q.inverted:
         raise ValueError(f"a set quality must be a plain atom, got {q!r}")
     goal = (Word((q,) + x.atoms), x)
-    if make_system(system) is SYSTEMS["dgss"]:
+    if system is SYSTEMS["dgss"]:
         return equal_dgss(*goal)
     res = prove_equal(goal, system, (), config)
     return True if isinstance(res, Proof) else UNDECIDED
@@ -116,19 +119,13 @@ def is_function_rel(f: Atom | int, m: Model, a: Atom | int | None = None,
                     b: Atom | int | None = None) -> bool:
     """Cancellation criterion: f x y = f x z forces y = z, with x
     ranging over the a-set and y, z over the b-set (whole carrier when
-    no quality is given)."""
+    no quality is given).  As the b-set's elements are distinct, that is
+    injectivity: for each x, the values f x y, y in the b-set, are as
+    many as the b-set's elements."""
     fe = element_of(f, m)
     dom = range(m.size) if a is None else members(a, m)
     cod = range(m.size) if b is None else members(b, m)
-    for x in dom:
-        fx = m.apply(fe, x)
-        seen: dict[int, int] = {}
-        for y in cod:
-            v = m.apply(fx, y)
-            if v in seen and seen[v] != y:
-                return False
-            seen[v] = y
-    return True
+    return all(len({m.apply(m.apply(fe, x), y) for y in cod}) == len(cod) for x in dom)
 
 
 @dataclass(frozen=True)

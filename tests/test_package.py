@@ -8,6 +8,7 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -56,6 +57,33 @@ def test_each_name_is_read_off_its_home_module_on_every_access():
         assert name not in vars(relcalc)   # nothing is cached in the package
 
 
+def test_a_patch_through_the_package_writes_through_and_leaves_nothing(monkeypatch):
+    original = relcalc.engine.prove_equal
+
+    def fake(*args, **kwargs):
+        return relcalc.NotFound(0, None)
+
+    monkeypatch.setattr(relcalc, "prove_equal", fake)
+    assert relcalc.engine.prove_equal is fake   # written in the home module
+    monkeypatch.undo()
+    assert "prove_equal" not in vars(relcalc)
+    assert relcalc.engine.prove_equal is original
+    # so the package goes on following its home module
+    monkeypatch.setattr(relcalc.engine, "prove_equal", fake)
+    assert relcalc.prove_equal is fake
+    monkeypatch.undo()
+    assert relcalc.prove_equal is original
+
+
+def test_a_mock_patch_round_trip_restores_the_original():
+    original = relcalc.prove_equal
+    with mock.patch("relcalc.prove_equal") as fake:
+        assert relcalc.prove_equal is relcalc.engine.prove_equal is fake
+    # patch deletes the name on exit, then sets the original back
+    assert relcalc.prove_equal is relcalc.engine.prove_equal is original
+    assert "prove_equal" not in vars(relcalc)
+
+
 def test_each_class_and_function_is_mapped_to_the_module_that_defines_it():
     # a name mapped to a module that only imports it would run that module too
     stray = [(name, home.__name__) for name, home in relcalc._HOMES.items()
@@ -90,8 +118,10 @@ def _boundaries():
 @pytest.mark.parametrize("call, params, i", _boundaries())
 def test_each_boundary_refuses_a_wrongly_typed_argument(call, params, i):
     args = [object() if j == i else _GOOD[p.name] for j, p in enumerate(params)]
-    # an `Atom | int` argument is a model element, which element_of looks up
-    expected = LookupError if params[i].annotation == "Atom | int" else ValueError
+    # an `Atom | int` argument of a reader of a model `m` is an element of m,
+    # which element_of looks up; is_member's `q` is checked before any universe
+    in_m = params[i].annotation == "Atom | int" and any(p.name == "m" for p in params)
+    expected = LookupError if in_m else ValueError
     with pytest.raises(expected):
         call(*args)
 

@@ -122,6 +122,18 @@ def test_is_member_refuses_an_unknown_universe(universe):
     assert str(exc.value) == f"universe must be a Model or 'symbolic', got {universe!r}"
 
 
+@pytest.mark.parametrize("universe", ["symbolic", Z3], ids=["symbolic", "model"])
+def test_is_member_refuses_an_unknown_system_or_config_in_either_universe(universe):
+    # both are read before the universe is, so a model does not hide them
+    with pytest.raises(ValueError) as exc:
+        is_member(Atom("e"), W("e"), universe, system=5)
+    assert str(exc.value) == "unknown system 5 (expected one of DIT, DIT+, DITS, DGS, DGS+, DGSS)"
+    for system in ("dgss", "dit"):   # the decider and the bounded search
+        with pytest.raises(ValueError) as exc:
+            is_member(Atom("e"), W("e"), universe, system=system, config="x")
+        assert str(exc.value) == "config must be a SearchConfig, got 'x'"
+
+
 def test_is_member_in_a_model_is_definite():
     assert is_member(Atom("e"), W("1"), Z3) is True
     assert is_member(Atom("1"), W("1"), Z3) is False
@@ -187,6 +199,21 @@ def test_is_function_rel_respects_domain_sets():
     assert is_function_rel(Atom("e"), Z3, a=Atom("1"), b=Atom("e"))
     m = Model(2, ((0, 0), (1, 1)), {"k": 0})
     assert is_function_rel(Atom("k"), m) is is_function_rel(0, m) is False
+
+
+def test_is_function_rel_is_pairwise_cancellation():
+    # the reference: no two distinct y, z of the b-set with f x y = f x z
+    def cancels(f, m, a, b):
+        dom = range(m.size) if a is None else members(a, m)
+        cod = range(m.size) if b is None else members(b, m)
+        return not any(m.apply(m.apply(f, x), y) == m.apply(m.apply(f, x), z)
+                       for x in dom for y in cod for z in cod if y != z)
+
+    for m in _small_models():
+        for f in range(m.size):
+            for a in (None, *range(m.size)):
+                for b in (None, *range(m.size)):
+                    assert is_function_rel(f, m, a, b) is cancels(f, m, a, b)
 
 
 def _small_models():
