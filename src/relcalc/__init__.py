@@ -15,6 +15,9 @@ deletes it there and nothing is stored here, so a function replaced in
 its home module (as ``bench/tracing.py`` does) is what
 ``relcalc.<name>`` gives, and one replaced through ``relcalc`` (as
 ``unittest.mock.patch("relcalc.<name>")`` does) is replaced at home.
+Every internal call of another submodule's function goes through that
+home module (``engine.prove_equal``), so a patch made through either
+side is seen by every caller, one that first runs during it included.
 On Python 3.11 a first load takes no lock, so two threads that touch a
 submodule for the first time at once can see it half run: a threaded
 caller should use relcalc once from one thread before starting others.

@@ -12,13 +12,14 @@ import argparse
 import json
 import sys
 
-# Building the parser runs systems and suites (the ids it lists) and
-# engine (SearchConfig defaults).  models and peano are imported by their
-# handlers, so only those commands run them (submodules load on first use).
-from .engine import NotFound, SearchConfig, check_proof_data, proof_to_json, prove_equal
-from .suites import SUITE_IDS, run_suite
+# Handlers call other modules' functions through the module, so only the
+# models and peano commands run those two (submodules run on first use);
+# building the parser runs systems, suites and engine.
+from . import engine, models, peano, suites, terms
+from .engine import NotFound, SearchConfig
+from .suites import SUITE_IDS
 from .systems import SYSTEMS, system_id
-from .terms import ParseError, parse_equation, parse_word, print_word
+from .terms import ParseError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,16 +79,16 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_parse(args) -> int:
-    print(print_word(parse_word(args.expr)))
+    print(terms.print_word(terms.parse_word(args.expr)))
     return 0
 
 
 def _cmd_prove(args) -> int:
-    goal = parse_equation(args.equation)
-    hyps = tuple(parse_equation(t) for t in args.hyp)
+    goal = terms.parse_equation(args.equation)
+    hyps = tuple(terms.parse_equation(t) for t in args.hyp)
     config = SearchConfig(max_word_len=args.max_len, max_nodes=args.max_nodes,
                           max_depth=args.max_depth)
-    res = prove_equal(goal, args.system, hyps, config)
+    res = engine.prove_equal(goal, args.system, hyps, config)
     if isinstance(res, NotFound):
         bound = res.bound_hit or "none (reachable words exhausted)"
         print("no proof found within bounds", file=sys.stderr)
@@ -95,14 +96,14 @@ def _cmd_prove(args) -> int:
         print(f"bound hit: {bound}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(proof_to_json(res))
+        print(engine.proof_to_json(res))
         return 0
     print(f"system: {res.system.name}")
     for i, (l, r) in enumerate(res.hypotheses, start=1):
-        print(f"hyp{i}: {print_word(l)} = {print_word(r)}")
-    print(f"goal: {print_word(goal[0])} = {print_word(goal[1])}")
+        print(f"hyp{i}: {terms.print_word(l)} = {terms.print_word(r)}")
+    print(f"goal: {terms.print_word(goal[0])} = {terms.print_word(goal[1])}")
     print(f"proved in {len(res.steps)} steps ({res.nodes_expanded} nodes expanded)")
-    print(f"  {print_word(goal[0])}")
+    print(f"  {terms.print_word(goal[0])}")
     for st in res.steps:
         print(f"  = {st.result}   [{st.rule} {st.dir} @{st.pos}]")
     return 0
@@ -119,7 +120,7 @@ def _cmd_check(args) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         print(f"not valid JSON: {exc}", file=sys.stderr)
         return 1
-    result = check_proof_data(data)
+    result = engine.check_proof_data(data)
     if result.ok:
         print("ok")
         return 0
@@ -129,42 +130,38 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    report = run_suite(args.suite_id)
+    report = suites.run_suite(args.suite_id)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 2
 
 
 def _cmd_models(args) -> int:
-    from .models import ModelQuery, format_model, iter_models
-
-    found = iter_models(ModelQuery(args.system, args.size, limit=args.limit))
+    found = models.iter_models(models.ModelQuery(args.system, args.size, limit=args.limit))
     if args.count_only:
         print(sum(1 for _ in found))
         return 0
     for i, m in enumerate(found):
         if i:
             print()
-        print(format_model(m))
+        print(models.format_model(m))
     return 0
 
 
 def _cmd_peano(args) -> int:
-    from .peano import as_numeral, eval_zero, verify_peano, zero_contradiction_demo
-
     if args.peano_cmd == "eval":
-        w = eval_zero(parse_word(args.expr))
-        print(print_word(w))
-        num = as_numeral(w)
+        w = peano.eval_zero(terms.parse_word(args.expr))
+        print(terms.print_word(w))
+        num = peano.as_numeral(w)
         if num is not None:
             print(f"= {num}")
         return 0
     if args.peano_cmd == "verify":
-        report = verify_peano(args.max)
+        report = peano.verify_peano(args.max)
         for line in report.lines():
             print(line)
         return 0 if report.all_passed else 2
-    for line in zero_contradiction_demo():
+    for line in peano.zero_contradiction_demo():
         print(line)
     return 0
 

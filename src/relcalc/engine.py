@@ -46,10 +46,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import systems, terms
 from .systems import (GROUND, IDENTITY_ELIM, LR, RL, SYSTEMS, Proof, ProofStep, Rule,
-                      RuleSystem, hypothesis_rules, make_system, system_id)
-from .terms import (Atom, Word, check_count, check_is, parse_equation, parse_word,
-                    print_word, split_word)
+                      RuleSystem, hypothesis_rules, system_id)
+from .terms import Atom, Word, check_count, check_is, split_word
 
 
 class RewriteError(Exception):
@@ -162,7 +162,7 @@ def _reducers(rules) -> list[tuple[Rule, str]]:
         # shortlex: the printed forms break only a tie in length
         kl, kr = len(r.lhs), len(r.rhs)
         if kl == kr:
-            kl, kr = print_word(r.lhs), print_word(r.rhs)
+            kl, kr = terms.print_word(r.lhs), terms.print_word(r.rhs)
         if kl > kr:
             out.append((r, LR))
         elif kr > kl:
@@ -243,7 +243,7 @@ class _Core:
     """
 
     def __init__(self, system: RuleSystem | str, hypotheses, goal, max_len: int | None = None):
-        self.system = system = make_system(system)
+        self.system = system = systems.make_system(system)
         try:
             self.hypotheses = hypotheses = tuple(hypotheses)
         except TypeError:
@@ -423,10 +423,10 @@ def _validate_problem(system: RuleSystem, goal, hypotheses, max_len: int | None 
             raise ValueError(f"expected a Word, got {w!r}")
         if not marks_ok and any(a.inverted for a in w.atoms):
             raise ValueError(
-                f"inverse marks in {print_word(w)!r} need a system with the "
+                f"inverse marks in {terms.print_word(w)!r} need a system with the "
                 f"inverse-cancel rule, not {system.name}")
         if max_len is not None and len(w) > max_len:
-            raise ValueError(f"word {print_word(w)!r} is longer than max_word_len={max_len}")
+            raise ValueError(f"word {terms.print_word(w)!r} is longer than max_word_len={max_len}")
 
 
 def prove_equal(goal: tuple[Word, Word], system: RuleSystem | str,
@@ -563,17 +563,17 @@ def check_proof(p: Proof) -> CheckResult:
                                else f"reverse step does not replay: {e}")
         if out != dst:
             if st.dir == LR:
-                why = f"recomputed {print_word(out)!r}, step records {print_word(dst)!r}"
+                why = f"recomputed {terms.print_word(out)!r}, step records {terms.print_word(dst)!r}"
             else:
                 why = (f"applying {st.rule} forward on the result gives "
-                       f"{print_word(out)!r}, not the previous word")
+                       f"{terms.print_word(out)!r}, not the previous word")
             return CheckResult(False, i, why)
         cur = st.result
     if cur != p.goal[1]:
         return CheckResult(
             False, None,
-            f"chain ends at {print_word(cur)!r}, goal right-hand side is "
-            f"{print_word(p.goal[1])!r}")
+            f"chain ends at {terms.print_word(cur)!r}, goal right-hand side is "
+            f"{terms.print_word(p.goal[1])!r}")
     return CheckResult(True)
 
 
@@ -590,10 +590,10 @@ def proof_to_dict(p: Proof) -> dict:
                          f"is not the built-in system of that name")
     return {
         "system": p.system.name,
-        "hypotheses": [f"{print_word(l)} = {print_word(r)}" for l, r in p.hypotheses],
-        "goal": f"{print_word(p.goal[0])} = {print_word(p.goal[1])}",
+        "hypotheses": [f"{terms.print_word(l)} = {terms.print_word(r)}" for l, r in p.hypotheses],
+        "goal": f"{terms.print_word(p.goal[0])} = {terms.print_word(p.goal[1])}",
         "steps": [
-            {"rule": s.rule, "dir": s.dir, "pos": s.pos, "result": print_word(s.result)}
+            {"rule": s.rule, "dir": s.dir, "pos": s.pos, "result": terms.print_word(s.result)}
             for s in p.steps
         ],
     }
@@ -611,7 +611,7 @@ def _equation(text: str, atoms: dict[str, Atom]) -> tuple[Word, Word]:
         lw, rw = split_word(lhs, atoms), split_word(rhs, atoms)
         if lw is not None and rw is not None:
             return lw, rw
-    return parse_equation(text)
+    return terms.parse_equation(text)
 
 
 def proof_from_dict(data: dict, *, noncanonical: list[int] | None = None) -> Proof:
@@ -652,11 +652,11 @@ def proof_from_dict(data: dict, *, noncanonical: list[int] | None = None) -> Pro
             raise ValueError(f"step {i} field has the wrong shape")
         word = split_word(result, atoms)
         if word is None:
-            word = parse_word(result)
+            word = terms.parse_word(result)
             if noncanonical is not None:
                 noncanonical.append(i)
         steps.append(ProofStep(rule, d, pos, word))
-    return Proof(make_system(system), hypotheses, goal, tuple(steps))
+    return Proof(systems.make_system(system), hypotheses, goal, tuple(steps))
 
 
 def check_proof_data(data: dict) -> CheckResult:

@@ -77,7 +77,8 @@ from dataclasses import dataclass
 from itertools import combinations, islice, permutations, starmap
 from operator import itemgetter
 
-from .systems import GROUND, IDENTITY_ELIM, SYSTEMS, RuleSystem, make_system
+from . import systems
+from .systems import GROUND, IDENTITY_ELIM, SYSTEMS, RuleSystem
 from .terms import check_count, check_is
 
 SIZE_CEILING = 6
@@ -147,7 +148,7 @@ class ModelQuery:
     limit: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "system", make_system(self.system))
+        object.__setattr__(self, "system", systems.make_system(self.system))
         check_count("size", self.size, 1, SIZE_CEILING)
         if self.limit is not None:
             check_count("limit", self.limit)
@@ -204,7 +205,7 @@ def check_model(m: Model, system, *, _reading=None) -> list[Violation]:
     enumerator passes `_reading`, so it reads the rules once and each
     leaf still comes here."""
     check_is(m, Model, "m")
-    system = make_system(system)
+    system = systems.make_system(system)
     roles, reading = system.roles, _reading or _read(system)
     n, t, d = m.size, m.table, m.designated
     v: list[Violation] = []

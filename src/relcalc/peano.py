@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .freegroup import equal_dgss, free_reduce
+from . import freegroup
 from .terms import Atom, Word, check_count, check_is
 
 ONE = Atom("1")
@@ -42,7 +42,7 @@ def eval_zero(w: Word) -> Word:
     inverse marks, so a marked atom is a ValueError."""
     if any(a.inverted for a in check_is(w, Word, "w")):
         raise ValueError(f"numeral words carry no inverse marks: {w}")
-    return free_reduce(w, ZERO.name)
+    return freegroup.free_reduce(w, ZERO.name)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def verify_peano(k_max: int) -> PeanoReport:
         for v in ns:
             if (succ(u) == succ(v)) != (u == v):
                 ok3 = False
-            if equal_dgss(succ(u), succ(v)) != equal_dgss(u, v):
+            if freegroup.equal_dgss(succ(u), succ(v)) != freegroup.equal_dgss(u, v):
                 ok3 = False
     items.append(PeanoItem(3, "successor injective", ok3,
                            f"{k_max}^2 pairs, word equality and decider agree"))

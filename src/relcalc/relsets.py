@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import SearchConfig, prove_equal
-from .freegroup import equal_dgss
+from . import engine, freegroup, systems
+from .engine import SearchConfig
 from .models import Model
-from .systems import SYSTEMS, Proof, make_system
+from .systems import SYSTEMS, Proof
 from .terms import Atom, Word, check_is
 
 
@@ -71,7 +71,7 @@ def is_member(q: Atom | int, x: Word, universe="symbolic", system: str = "dgss",
     proof search gives True or UNDECIDED (absence of a proof refutes nothing)."""
     check_is(x, Word, "x")
     check_is(q, (Atom, int), "q")  # the same refusal in either universe
-    system = make_system(system)
+    system = systems.make_system(system)
     if config is not None:
         check_is(config, SearchConfig, "config")
     if isinstance(universe, Model):
@@ -84,8 +84,8 @@ def is_member(q: Atom | int, x: Word, universe="symbolic", system: str = "dgss",
         raise ValueError(f"a set quality must be a plain atom, got {q!r}")
     goal = (Word((q,) + x.atoms), x)
     if system is SYSTEMS["dgss"]:
-        return equal_dgss(*goal)
-    res = prove_equal(goal, system, (), config)
+        return freegroup.equal_dgss(*goal)
+    res = engine.prove_equal(goal, system, (), config)
     return True if isinstance(res, Proof) else UNDECIDED
 
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-# bound as modules, so building the suite ids runs neither; their
-# checks are looked up when the dgss or peano suite runs
-from . import freegroup, peano
-from .engine import NotFound, apply_rule, check_proof, prove_equal
+# other modules' functions are called through their module, so a patch
+# there is seen at each call; freegroup and peano run only for their suite
+from . import engine, freegroup, peano, terms
+from .engine import NotFound
 from .systems import Proof, hypothesis_rules, system_id
-from .terms import parse_equation, print_word
 
 
 @dataclass(frozen=True)
@@ -59,15 +58,15 @@ class SuiteReport:
 
 
 def _prove_case(case_id: str, system: str, hyp_texts, goal_text: str) -> SuiteCase:
-    hyps = tuple(parse_equation(t) for t in hyp_texts)
-    goal = parse_equation(goal_text)
-    res = prove_equal(goal, system, hyps)
+    hyps = tuple(terms.parse_equation(t) for t in hyp_texts)
+    goal = terms.parse_equation(goal_text)
+    res = engine.prove_equal(goal, system, hyps)
     stmt = goal_text if not hyp_texts else f"{', '.join(hyp_texts)} |- {goal_text}"
     if isinstance(res, NotFound):
         why = res.bound_hit or "exhausted"
         return SuiteCase(case_id, stmt, False,
                          f"not found: {why}, {res.nodes_expanded} nodes")
-    chk = check_proof(res)
+    chk = engine.check_proof(res)
     if not chk.ok:
         return SuiteCase(case_id, stmt, False,
                          f"checker rejected step {chk.failed_step}: {chk.reason}", res)
@@ -85,7 +84,7 @@ def _cancellation_cases(prefix: str, hyp: str) -> tuple:
 
 # The suite table: id -> (system, cases), each case a (case id,
 # hypotheses, goal) row.  It holds only strings and tuples, so
-# prove_equal and check_proof are looked up when a suite runs.
+# engine.prove_equal and engine.check_proof are looked up when a suite runs.
 _PROOF_SUITES = {
     "er": ("dit+", _cancellation_cases("er", "{p} {s} = {q} {s}")),
     "pr01": ("dit+", _cancellation_cases("pr01-", "{s} {p} = {s} {q}")),
@@ -114,10 +113,10 @@ def _progression_notes(seed_case: SuiteCase) -> list[str]:
     rule = hypothesis_rules([(lhs, rhs)])[0]
     out = ["progression demo (reapplying the proved expansion at position 0):"]
     w = lhs
-    out.append(f"  {print_word(w)}")
+    out.append(f"  {terms.print_word(w)}")
     for _ in range(4):
-        w = apply_rule(w, rule, 0)
-        out.append(f"  {print_word(w)}")
+        w = engine.apply_rule(w, rule, 0)
+        out.append(f"  {terms.print_word(w)}")
     return out
 
 

@@ -147,10 +147,10 @@ def check_count(name: str, value, lo: int | None = 1, hi: int | None = None) -> 
 
 def check_is(value, kind, name: str):
     """`value` if it is an instance of `kind`, a class or a tuple of
-    classes; else a ValueError that calls it `name` and says what `kind`
-    is ("a Word", "an Atom or a Node"), with "an" before a class name
-    that starts with a vowel."""
-    if isinstance(value, kind):
+    classes (a bool only of bool: it is no int); else a ValueError that
+    calls it `name` and says what `kind` is ("a Word", "an Atom or a
+    Node"), with "an" before a class name that starts with a vowel."""
+    if isinstance(value, kind) and (kind is bool or value.__class__ is not bool):
         return value
     what = " or ".join(f"{'an' if k.__name__[0] in 'AEIOUaeiou' else 'a'} {k.__name__}"
                        for k in (kind if isinstance(kind, tuple) else (kind,)))

@@ -84,6 +84,70 @@ def test_a_mock_patch_round_trip_restores_the_original():
     assert "prove_equal" not in vars(relcalc)
 
 
+def test_a_module_first_run_during_a_patch_keeps_no_fake():
+    # suites first runs inside the patch; the restored search proves again
+    out = _fresh("""
+import relcalc
+original = relcalc.prove_equal
+relcalc.prove_equal = lambda *args: relcalc.NotFound(0, None)
+print(relcalc.run_suite("dits").summary())
+relcalc.prove_equal = original
+print(relcalc.run_suite("dits").summary())
+""")
+    assert out.splitlines() == ["0/3 proved", "3/3 proved"]
+
+
+def test_a_decider_patched_around_first_reads_is_restored_for_sets_and_numerals():
+    out = _fresh("""
+import relcalc
+from relcalc import Atom, parse_word
+original, calls = relcalc.equal_dgss, []
+relcalc.equal_dgss = lambda u, v: calls.append((u, v)) or "FAKE"
+relcalc.is_member, relcalc.verify_peano
+relcalc.equal_dgss = original
+print(relcalc.is_member(Atom("e"), parse_word("a")), relcalc.is_member(Atom("q"), parse_word("x")))
+print(relcalc.verify_peano(2).all_passed, len(calls))
+""")
+    # e is the identity of dgss, so e a = a; q x = x does not hold
+    assert out.splitlines() == ["True False", "True 0"]
+
+
+def test_no_module_imports_an_exported_function_by_name():
+    # a name bound when its module first runs keeps whatever was patched in
+    # then, so another module's exported function is called through its module
+    functions = {name for name, home in relcalc._HOMES.items()
+                 if isinstance(getattr(home, name), types.FunctionType)}
+    assert {"prove_equal", "equal_dgss", "make_system", "print_word"} <= functions
+    by_name = [(path.name, node.lineno, alias.name)
+               for path in sorted((SRC / "relcalc").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("relcalc"))
+               for alias in node.names if alias.name in functions]
+    assert by_name == []
+
+
+# Runs the bench oracle tests with each class's methods in reverse order.
+_REVERSED = """
+import sys, unittest
+loader = unittest.TestLoader()
+loader.sortTestMethodsUsing = lambda a, b: (a < b) - (a > b)
+result = unittest.TextTestRunner().run(loader.discover("bench", pattern="test_*.py"))
+sys.exit(not result.wasSuccessful())
+"""
+
+
+@pytest.mark.parametrize("args", [["-m", "unittest", "discover", "-s", "bench",
+                                   "-p", "test_*.py"], ["-c", _REVERSED]],
+                         ids=["default", "reversed"])
+def test_the_bench_oracle_tests_pass_in_either_method_order(args):
+    # a fresh process, so no earlier test has run a module the oracles patch
+    done = subprocess.run([sys.executable, *args], cwd=SRC.parent, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.rstrip().endswith("OK")
+
+
 def test_each_class_and_function_is_mapped_to_the_module_that_defines_it():
     # a name mapped to a module that only imports it would run that module too
     stray = [(name, home.__name__) for name, home in relcalc._HOMES.items()

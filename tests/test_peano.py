@@ -102,15 +102,16 @@ def test_broken_successor_is_caught(monkeypatch):
 
 @pytest.mark.parametrize("name, fake, oks", [
     # the top numeral is its own successor, so successor is not injective
-    ("succ", lambda w: w if len(w) == 8 else Word((ONE,) + w.atoms), [True, True, False, True, True]),
+    ("peano.succ", lambda w: w if len(w) == 8 else Word((ONE,) + w.atoms),
+     [True, True, False, True, True]),
     # a decider that equates words longer than 2 by length alone
-    ("equal_dgss", lambda u, v: len(u) == len(v) > 2, [True, True, False, True, True]),
+    ("freegroup.equal_dgss", lambda u, v: len(u) == len(v) > 2, [True, True, False, True, True]),
     # an induction test that holds for every table, or for none
-    ("_induction_hypothesis", lambda t: True, [True, True, True, True, False]),
-    ("_induction_hypothesis", lambda t: False, [True, True, True, True, False]),
+    ("peano._induction_hypothesis", lambda t: True, [True, True, True, True, False]),
+    ("peano._induction_hypothesis", lambda t: False, [True, True, True, True, False]),
 ], ids=["succ", "equal_dgss", "hypothesis_always", "hypothesis_never"])
 def test_a_broken_helper_fails_its_property(monkeypatch, name, fake, oks):
-    monkeypatch.setattr(peano, name, fake)
+    monkeypatch.setattr(f"relcalc.{name}", fake)
     assert [it.ok for it in verify_peano(8).items] == oks
 
 

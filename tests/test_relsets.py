@@ -87,8 +87,9 @@ def test_is_member_needs_a_word(universe, x):
 
 
 @pytest.mark.parametrize("universe", ["symbolic", Z3], ids=["symbolic", "model"])
-@pytest.mark.parametrize("q", ["q", None, 1.0, object()])
+@pytest.mark.parametrize("q", ["q", None, 1.0, object(), True])
 def test_is_member_refuses_a_quality_that_is_neither_an_atom_nor_an_int(universe, q):
+    # a bool is an int to isinstance, but no quality in either universe
     with pytest.raises(ValueError) as exc:
         is_member(q, W("1"), universe)
     assert str(exc.value) == f"q must be an Atom or an int, got {q!r}"
@@ -110,9 +111,11 @@ def test_model_quality_is_read_by_element_of():
     # in a model an int quality is an index; a marked or unmapped atom, an
     # index outside the carrier and a bool have no reading
     assert is_member(0, W("1"), Z3) is True
-    for q in (Atom("e", inverted=True), Atom("q"), 3, True):
+    for q in (Atom("e", inverted=True), Atom("q"), 3):
         with pytest.raises(LookupError):
             is_member(q, W("1"), Z3)
+    with pytest.raises(LookupError):
+        members(True, Z3)
 
 
 @pytest.mark.parametrize("universe", ["symbolc", 3, None])

@@ -114,6 +114,6 @@ def test_install_in_a_fresh_interpreter_wraps_every_target(tracing):
                                                              done.stdout.splitlines())
     assert unwrapped == [] and unseen == []
     assert calls == [2, 1]
-    # every target's home binding, plus the modules that import one by name
-    assert wrapped > sum(map(len, tracing.TARGETS.values()))
+    # every target's home binding and no other, as no module imports one by name
+    assert wrapped == sum(map(len, tracing.TARGETS.values()))
     assert left == [] and restored == []
