@@ -12,15 +12,16 @@ inverses.  A system with `left_inverses` also asks that every y has
 some z with z*y = e, which no rule states.
 
 `check_model` decides associativity a row at a time with whole-row
-string operations, with element k as the character chr(k): put through
-row a as a translation table, the whole table reads a*(b*c) for every b
-and c, and row a put through the row strings reads (a*b)*c.  All rows
-are compared at once first, and the triple loop that reports each
-violation runs only over the rows that differ, so an associative table
-costs a few C-level calls per row instead of n*n interpreted steps.
-Characters run far past 255, so the test has no size limit; past 127,
-though, `str.translate` leaves its cached ASCII path, and the test
-costs about what the loop does.
+string operations, with element k as the character chr(k): each row is
+formatted once into a string, and the row strings are the translation
+tables on both sides.  Put through row a, the whole table reads a*(b*c)
+for every b and c, and row a put through the row strings reads
+(a*b)*c.  All rows are compared at once first, and the triple loop that
+reports each violation runs only over the rows that differ, so an
+associative table costs n format calls and n + 1 translations instead
+of n**3 interpreted steps.  Characters run far past 255, so the test
+has no size limit; past 127, though, `str.translate` leaves its cached
+ASCII path, and the test costs about what the loop does.
 
 The enumerator takes designation assignments in ascending order and
 fills table cells row-major, propagating forced values: equations pin
@@ -67,7 +68,12 @@ picks the relabelled rows and pi^-1 puts them in order, so all the
 designation's tables share their row tuples.  Each designation's
 relabelled tables are sorted, which keeps the order designation-major,
 then table-lexicographic, and `Model` validates and `check_model`
-judges every one of them before it is emitted.
+judges every one of them before it is emitted.  Those two calls are
+most of what an emitted model costs: on `dits` at n=5 about 2.9 and
+5.1 µs of about 9 µs, against about 1 µs of relabelling (2 shared
+vCPUs, Python 3.11.7).  A designation's own set-up (its map, pi, pi^-1,
+the relabelled rows and the sort) is about 3 µs and is shared by all
+its tables: 90 at `dits` n=5, but one at `dgs+` n=3.
 """
 
 from __future__ import annotations
@@ -84,22 +90,23 @@ from .terms import check_count, check_is
 SIZE_CEILING = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Model:
     """Frozen, so a table is validated once and cannot be swapped after.
     `designated` is a dict, so the generated hash would fail on it;
-    `key()` is the hashable identity."""
+    `key()` is the hashable identity.  The one constructor validates
+    every argument and then sets each field once."""
 
     size: int
     table: tuple[tuple[int, ...], ...]  # table[a][b] is a*b
     designated: dict[str, int]
 
-    def __post_init__(self):
-        n = self.size
+    def __init__(self, size: int, table, designated: dict[str, int]):
+        n = size
         if type(n) is not int or n < 1:
             raise ValueError(f"model size must be an int of at least 1, got {n!r}")
         try:
-            rows = tuple(map(tuple, self.table))
+            rows = tuple(map(tuple, table))
         except TypeError:  # the table or a row is not iterable
             rows = ()
         if len(rows) != n or set(map(len, rows)) != {n}:
@@ -109,15 +116,18 @@ class Model:
             for v in r:
                 if type(v) is not int or not 0 <= v < n:
                     raise ValueError(f"malformed table: entry {v!r} outside 0..{n - 1}")
-        object.__setattr__(self, "table", rows)
         # a copy, so the caller cannot change it once checked
-        d = dict(check_is(self.designated, dict, "designated"))
-        object.__setattr__(self, "designated", d)
+        d = dict(check_is(designated, dict, "designated"))
         for k, v in d.items():
             if type(k) is not str:
                 raise ValueError(f"designated key {k!r} is not a name")
             if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"designated {k}={v!r} outside 0..{n - 1}")
+        # each field once, past the frozen __setattr__; not through
+        # self.__dict__, which would give every model a dict of its own
+        object.__setattr__(self, "size", n)
+        object.__setattr__(self, "table", rows)
+        object.__setattr__(self, "designated", d)
 
     def key(self):
         """Hashable identity, for set comparisons in tests."""
@@ -185,25 +195,27 @@ def _read(system: RuleSystem) -> list[tuple[str, tuple[str, ...]]]:
 def _nonassociative_rows(t) -> list[int]:
     """The rows a of table `t` that hold some (a*b)*c != a*(b*c), by the
     string test of the module docstring: with element k as the
-    character chr(k), the table put through row a reads a*(b*c) for
-    every b and c, and row a put through the row strings, which map k
-    to row k, reads (a*b)*c.  Every table the enumerator emits is
-    associative, so all rows are compared at once first."""
-    rows = list(map("".join(map(chr, range(len(t)))).translate, t))
+    character chr(k) (`"%c" % k`), the table put through row a reads
+    a*(b*c) for every b and c, and row a put through the row strings,
+    which map k to row k, reads (a*b)*c.  The row strings are the
+    translation tables on both sides.  Every table the enumerator emits
+    is associative, so all rows are compared at once first."""
+    rows = list(map(("%c" * len(t)).__mod__, t))
     flat = "".join(rows)
-    if flat.translate(rows) == "".join(map(flat.translate, t)):
+    if flat.translate(rows) == "".join(map(flat.translate, rows)):
         return []
-    return [a for a, (r, ta) in enumerate(zip(rows, t))
-            if r.translate(rows) != flat.translate(ta)]
+    return [a for a, r in enumerate(rows) if r.translate(rows) != flat.translate(r)]
 
 
 def check_model(m: Model, system, *, _reading=None) -> list[Violation]:
     """Every violated constraint instance, one Violation each; empty
     means the table is a model of the system.  Associativity is decided
     a row at a time by `_nonassociative_rows`, and the triple loop that
-    reports each violation runs only over the rows it names.  The
-    enumerator passes `_reading`, so it reads the rules once and each
-    leaf still comes here."""
+    reports each violation runs only over the rows it names.  The roles'
+    elements are gathered into one set first, and the loops that name
+    missing or shared roles run only when it shows one.  The enumerator
+    passes `_reading`, so it reads the rules once and each leaf still
+    comes here."""
     check_is(m, Model, "m")
     system = systems.make_system(system)
     roles, reading = system.roles, _reading or _read(system)
@@ -217,14 +229,16 @@ def check_model(m: Model, system, *, _reading=None) -> list[Violation]:
                 if tab[c] != ta[tb[c]]:
                     v.append(Violation("assoc", (a, b, c),
                                        f"({a}*{b})*{c}={tab[c]} but {a}*({b}*{c})={ta[tb[c]]}"))
-    missing = [k for k in roles if k not in d]
-    if missing:
-        v.append(Violation("designation", tuple(missing), "missing designated element"
-                           f"{'(s)' if len(roles) > 1 else ''}: {', '.join(missing)}"))
-        return v
-    for p, q in combinations(roles, 2):
-        if d[p] == d[q]:
-            v.append(Violation("distinct", (p, q), f"{p} and {q} both denote {d[p]}"))
+    named = set(map(d.get, roles))      # None stands for a missing role
+    if None in named or len(named) < len(roles):
+        missing = [k for k in roles if k not in d]
+        if missing:
+            v.append(Violation("designation", tuple(missing), "missing designated element"
+                               f"{'(s)' if len(roles) > 1 else ''}: {', '.join(missing)}"))
+            return v
+        for p, q in combinations(roles, 2):
+            if d[p] == d[q]:
+                v.append(Violation("distinct", (p, q), f"{p} and {q} both denote {d[p]}"))
     cols = ()
     for kind, names in reading:
         if kind == "pin":
@@ -374,7 +388,7 @@ def _search(system: RuleSystem, n: int, reading) -> Iterator[Model]:
     for values in islice(permutations(range(n), len(system.roles)), 1, None):
         d = dict(zip(system.roles, values))
         pi = values + tuple(a for a in range(n) if a not in values)
-        inv = itemgetter(*sorted(range(n), key=pi.__getitem__))
+        inv = itemgetter(*map(pi.index, range(n)))     # pi^-1: b -> the a with pi[a] = b
         # a row r relabelled is pi[r[inv b]] for every b: its getter reads its
         # values off pi and inv puts them in column order (a tuple, as a later
         # designation needs n > 1); row a of a table is row inv a of T relabelled

@@ -1302,7 +1302,7 @@ def test_each_boundary_check_is_made_in_one_place():
                    and says.search(n.value) is not None)
     # a rule id is exactly a str, not a subclass; Model keeps its own: its
     # checks run once for every model the enumerator emits
-    assert texts == [("models.py", "Model.__post_init__"), ("systems.py", "Rule.__post_init__"),
+    assert texts == [("models.py", "Model.__init__"), ("systems.py", "Rule.__post_init__"),
                      ("terms.py", "check_count"), ("terms.py", "check_is"),
                      ("terms.py", "check_name")]
     calls = _sites(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)

@@ -88,6 +88,38 @@ def test_model_fields_cannot_be_reassigned(field, value):
     assert m.key() == (1, ((0,),), (("e", 0),))
 
 
+def test_model_keeps_the_dataclass_contract():
+    """`Model` writes its own __init__: keyword construction and
+    `dataclasses.replace` still validate, and repr, ==, the frozen fields
+    and the unhashable dict field are the dataclass's."""
+    m = Model(size=2, table=[[0, 1], [1, 0]], designated={"e": 0})
+    assert vars(m) == {"size": 2, "table": ((0, 1), (1, 0)), "designated": {"e": 0}}
+    assert repr(m) == "Model(size=2, table=((0, 1), (1, 0)), designated={'e': 0})"
+    assert m == Model(2, ((0, 1), (1, 0)), {"e": 0})
+    assert m != Model(2, ((0, 1), (1, 0)), {"e": 1})
+    assert [f.name for f in dataclasses.fields(m)] == ["size", "table", "designated"]
+    with pytest.raises(ValueError, match=r"^malformed table: expected 2x2$"):
+        Model(size=2, table=((0, 1),), designated={})
+    with pytest.raises(ValueError, match=r"^designated must be a dict, got \(\)$"):
+        Model(size=1, table=((0,),), designated=())
+    with pytest.raises(TypeError):
+        Model(2, ((0, 1), (1, 0)))               # no field has a default
+    with pytest.raises(ValueError, match=r"^malformed table: entry 2 outside 0\.\.1$"):
+        dataclasses.replace(m, table=((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match=r"^malformed table: expected 3x3$"):
+        dataclasses.replace(m, size=3)
+    with pytest.raises(ValueError, match=r"^designated e=True outside 0\.\.1$"):
+        dataclasses.replace(m, designated={"e": True})
+    d = {"e": 1}
+    r = dataclasses.replace(m, designated=d)
+    d["e"] = 7
+    assert r.key() == (2, ((0, 1), (1, 0)), (("e", 1),)) and m.designated == {"e": 0}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del m.table
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(m)
+
+
 def test_model_keeps_its_own_copy_of_the_designation():
     """A caller's dict changed after construction would skip validation:
     e=7 would raise a bare IndexError in `check_model`, and e=True would
@@ -776,10 +808,12 @@ def _record_calls(monkeypatch, name) -> list[tuple]:
     return calls
 
 
-@pytest.mark.parametrize("system", ["dit", "dgs"])
-def test_every_emitted_model_is_checked(monkeypatch, system):
+@pytest.mark.parametrize("system,n", [("dit", 4), ("dgs", 4), ("dit+", 5)],
+                         ids=["dit", "dgs", "dit+"])
+def test_every_emitted_model_is_checked(monkeypatch, system, n):
+    # dit+ at 5 is the relabelled path at the size the benchmark runs
     checked = _record_calls(monkeypatch, "check_model")
-    found = enumerate_models(ModelQuery(system, 4))
+    found = enumerate_models(ModelQuery(system, n))
     assert [m.key() for m, _ in checked] == [m.key() for m in found]
 
 
