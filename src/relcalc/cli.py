@@ -137,11 +137,12 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_models(args) -> int:
-    found = models.iter_models(models.ModelQuery(args.system, args.size, limit=args.limit))
+    q = models.ModelQuery(args.system, args.size, limit=args.limit)
     if args.count_only:
-        print(sum(1 for _ in found))
+        count = models.count_models(q.system, q.size)
+        print(count if q.limit is None else min(count, q.limit))
         return 0
-    for i, m in enumerate(found):
+    for i, m in enumerate(models.iter_models(q)):
         if i:
             print()
         print(models.format_model(m))

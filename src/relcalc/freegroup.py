@@ -128,14 +128,14 @@ class DeciderReport:
 # against randrange for every bound the samplers use.
 _BASES = (0, 2, 4, 6)
 _E = -2
+_MAX_LEN = 6  # a sampled word holds 1.._MAX_LEN atoms
 
 
-def _random_word(rng: random.Random, max_len: int = 6) -> list[int]:
+def _random_word(rng: random.Random) -> list[int]:
     bits, random = rng.getrandbits, rng.random
-    k = max_len.bit_length()
-    n = bits(k)  # randint(1, max_len) - 1
-    while n >= max_len:
-        n = bits(k)
+    n = bits(3)  # randint(1, _MAX_LEN) - 1, in _MAX_LEN.bit_length() bits
+    while n >= _MAX_LEN:
+        n = bits(3)
     out = []
     for _ in range(n + 1):
         r = bits(3)  # choice(_BASES)

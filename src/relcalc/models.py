@@ -74,10 +74,18 @@ most of what an emitted model costs: on `dits` at n=5 about 2.9 and
 vCPUs, Python 3.11.7).  A designation's own set-up (its map, pi, pi^-1,
 the relabelled rows and the sort) is about 3 µs and is shared by all
 its tables: 90 at `dits` n=5, but one at `dgs+` n=3.
+
+Counting builds no relabelled table.  Since pi is a bijection, every
+designation has as many models as the first, so `count_models` builds
+and checks the first designation's models alone and multiplies their
+number by P(n, k), the number of designations of the k roles: 90 checks
+instead of 5,400 at `dits` n=5, and `dit` at n=6 counts 16,578 models
+times 120 in about a second (2 vCPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations, starmap
@@ -423,9 +431,13 @@ def enumerate_models(q: ModelQuery) -> list[Model]:
 
 
 def count_models(system, n: int) -> int:
-    """How many models `enumerate_models` would return, counted as they
-    are generated and checked, without keeping them."""
-    return sum(1 for _ in iter_models(ModelQuery(system, n)))
+    """How many models `enumerate_models` would return: the first
+    designation's models, each built and checked, times P(n, k), the
+    number of designations of the k roles.  By the relabelling bijection
+    of the module docstring every designation has as many models as the
+    first, so no relabelled table is built."""
+    s = ModelQuery(system, n).system
+    return sum(1 for _ in _first_tables(s, n, _read(s))) * math.perm(n, len(s.roles))
 
 
 def find_min_model(system, n_max: int) -> tuple[int, Model] | None:

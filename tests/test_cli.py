@@ -462,6 +462,8 @@ README_CLI = {
     'relcalc models --system dgss --size 4 --count-only   # 16': (0, ["16"]),
     'relcalc models --system dgs --size 6 --count-only    # 480: Z6 and S3, well under a second':
         (0, ["480"]),
+    'relcalc models --system dits --size 6 --count-only   # 340800: 2,840 tables times P(6, 3)':
+        (0, ["340800"]),
     'relcalc models --system dit --size 3 --limit 1       # smallest model, as a table': (0, None),
     'relcalc peano eval "0 (1 1)"               # "1 1", then "= 2"; inverse marks exit 1':
         (0, ["1 1", "= 2"]),

@@ -971,6 +971,23 @@ def test_script_round_trip():
     assert proof_from_dict(data) == p
 
 
+# The abstract's DGSS theorems as ground instances: extensionality
+# (cancellation on either side, and two left inverses of x coincide) and
+# the substitution property of equality, each found at the default bounds
+@pytest.mark.parametrize("hyps, goal, steps", [
+    (["a x = b x"], "a = b", 3),
+    (["x a = x b"], "a = b", 3),
+    (["x = y"], "f x = f y", 1),
+    (["x = y"], "x f = y f", 1),
+    (["a x = e", "b x = e"], "a = b", 4),
+])
+def test_the_abstracts_dgss_theorems_are_proved_and_replayed(hyps, goal, steps):
+    p = _proved(goal, "dgss", hyps)
+    assert len(p.steps) == steps
+    assert check_proof(p).ok
+    assert check_proof_data(json.loads(proof_to_json(p))).ok
+
+
 def test_script_rejects_non_canonical_result():
     p = _proved("z y = x")
     data = proof_to_dict(p)

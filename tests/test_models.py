@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -212,6 +213,14 @@ FROZEN_COUNTS = {
 @pytest.mark.parametrize("system,n", sorted(FROZEN_COUNTS))
 def test_frozen_model_counts(system, n):
     assert count_models(system, n) == FROZEN_COUNTS[(system, n)]
+
+
+@pytest.mark.parametrize("system,n", [*((s, n) for s in SYSTEMS for n in range(1, 6)),
+                                      *((s, 6) for s in ("dgs", "dgs+", "dgss"))])
+def test_count_matches_the_listing_stream(system, n):
+    # count_models multiplies the first designation's count by P(n, k);
+    # iter_models relabels and checks every designation's tables
+    assert count_models(system, n) == sum(1 for _ in iter_models(ModelQuery(system, n)))
 
 
 # a regression pin, like ("dit", 5) above: sha256 over repr(m.key()) of every
@@ -827,6 +836,14 @@ def test_a_limit_stops_the_search(monkeypatch):
     assert 10 * first < len(placed) - first
 
 
+def test_counting_checks_only_the_first_designation(monkeypatch):
+    # 90 tables under x, y, z = 0, 1, 2, times P(5, 3) = 60 designations
+    checked = _record_calls(monkeypatch, "check_model")
+    assert count_models("dits", 5) == 5400
+    assert len(checked) == 90
+    assert {tuple(m.designated.items()) for m, _ in checked} == {(("x", 0), ("y", 1), ("z", 2))}
+
+
 @st.composite
 def _partial_tables(draw):
     """A system, built in or a stated group system, a designation of its
@@ -1039,6 +1056,38 @@ def test_dit_family_matches_a_naive_semigroup_filter(n, semigroups, counts):
                  for t in tables if _dit_family_axioms(system, t, x, y, z)]
         assert len(naive) == count
         assert [m.key() for m in enumerate_models(ModelQuery(system, n))] == naive
+
+
+@functools.cache
+def _first_designation(system, n):
+    s = make_system(system)
+    return [m.table for m in _first_tables(s, n, _read(s))]
+
+
+# Theorems A and B (README), checked on the tables alone, with x, y, z at
+# 0, 1, 2: every finite model of dit has x x = x, y x = y and x y = y x;
+# one of dit+ also has y z = z y = x, the rule dits adds
+@pytest.mark.parametrize("system,n_max", [("dit", 5), ("dit+", 6), ("dits", 6)])
+def test_dit_family_models_obey_theorems_a_and_b(system, n_max):
+    for n in range(1, n_max + 1):
+        for t in _first_designation(system, n):
+            assert t[0][0] == 0 and t[1][0] == 1 and t[0][1] == t[1][0]
+            if system != "dit":
+                assert t[1][2] == t[2][1] == 0
+
+
+def test_theorem_b_needs_z_x_z():
+    tables = _first_designation("dit", 5)
+    assert len(tables) == 387
+    assert sum(not t[1][2] == t[2][1] == 0 for t in tables) == 18
+
+
+def test_dit_plus_and_dits_have_the_same_models():
+    for n in range(1, 7):
+        assert _first_designation("dit+", n) == _first_designation("dits", n)
+    assert len(_first_designation("dits", 6)) == 2840
+    # so both count 2,840 * P(6, 3) at n=6, an oracle past FROZEN_COUNTS
+    assert count_models("dit+", 6) == count_models("dits", 6) == 340_800
 
 
 @pytest.mark.parametrize("call, message", [

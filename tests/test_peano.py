@@ -5,6 +5,7 @@ import re
 import pytest
 
 import relcalc.peano as peano
+from relcalc.freegroup import free_reduce as _free_reduce
 from relcalc.peano import (ONE, as_numeral, eval_zero, numeral, succ,
                            verify_peano, zero_contradiction_demo)
 from relcalc.terms import Word, parse_word
@@ -104,12 +105,15 @@ def test_broken_successor_is_caught(monkeypatch):
     # the top numeral is its own successor, so successor is not injective
     ("peano.succ", lambda w: w if len(w) == 8 else Word((ONE,) + w.atoms),
      [True, True, False, True, True]),
-    # a decider that equates words longer than 2 by length alone
-    ("freegroup.equal_dgss", lambda u, v: len(u) == len(v) > 2, [True, True, False, True, True]),
+    # a reduction that cuts words to two atoms, so 1 and 1 1 have equal
+    # successors; eval_zero's calls, with identity 0, reduce as before
+    ("freegroup.free_reduce",
+     lambda w, identity="e": _free_reduce(w, identity) if identity == "0" else Word(w.atoms[:2]),
+     [True, True, False, True, True]),
     # an induction test that holds for every table, or for none
     ("peano._induction_hypothesis", lambda t: True, [True, True, True, True, False]),
     ("peano._induction_hypothesis", lambda t: False, [True, True, True, True, False]),
-], ids=["succ", "equal_dgss", "hypothesis_always", "hypothesis_never"])
+], ids=["succ", "free_reduce", "hypothesis_always", "hypothesis_never"])
 def test_a_broken_helper_fails_its_property(monkeypatch, name, fake, oks):
     monkeypatch.setattr(f"relcalc.{name}", fake)
     assert [it.ok for it in verify_peano(8).items] == oks
@@ -123,6 +127,14 @@ def test_induction_rejects_open_tables():
     assert tested == 1000 + 8 + 1
     # only the all-true table can satisfy the hypothesis
     assert tested - rejected >= 1
+
+
+def test_zero_demo_raises_when_its_conclusion_fails(monkeypatch):
+    # an explicit raise, so `python -O` keeps the check
+    monkeypatch.setattr(peano, "eval_zero", lambda w: w)
+    with pytest.raises(RuntimeError) as exc:
+        zero_contradiction_demo()
+    assert str(exc.value) == "succ(0) evaluates to 1 0, not to numeral 1 = 1"
 
 
 def test_zero_contradiction_demo():
